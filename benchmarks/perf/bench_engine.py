@@ -28,11 +28,15 @@ reported — informationally, since an attached tracer forces the
 interpreted path by design and its cost is therefore expected to be
 large, not budgeted.
 
-The full run also times the replay compiler (``repro.core.compile``):
-the warm composite re-runs with ``REPRO_NO_COMPILE=1`` in the same
-process, is verified bit-identical, and the report's ``compiled``
-block records both arms' throughput, the speedup, and the JIT's
-``sim.compile.*`` counters.
+The full run also times the two execution modes, replay programs
+(``repro.core.compile``, the default) against the interpreter
+(``REPRO_NO_COMPILE=1``): the warm composite re-runs interpreted in the
+same process, is verified bit-identical, and the report's ``compiled``
+block records both arms' throughput, the speedup, and the
+``sim.compile.*`` counters.  Its ``user_path`` block is the user-path
+A/B the perf smoke gates: ``run_workload`` calls timed end to end,
+each from cold record caches, replay and interpreted arms interleaved
+with the order alternating per round, every round bit-identical.
 
 The full run also times intra-workload sharding: one workload split
 into ``SHARD_COUNT`` resumable shards through the snapshot/run-cache
@@ -43,16 +47,17 @@ measured experiment costs deserialization, not simulation.
 
 Run:  PYTHONPATH=src python benchmarks/perf/bench_engine.py [--jobs N]
       [--smoke]   (tiny run: sequential/parallel, traced/untraced,
-                   sharded/unsharded and compiled/interpreted
+                   sharded/unsharded and replay/interpreted
                    bit-identity, trace-export validity, and the
-                   steady-state compiled-throughput ratchet — the CI
-                   gate)
+                   user-path replay throughput and speedup floors —
+                   the CI gate)
 """
 
 import argparse
 import json
 import os
 import shutil
+import statistics
 import sys
 import tempfile
 import time
@@ -73,26 +78,28 @@ SEED_BASELINE_INSTRUCTIONS_PER_SECOND = 6_766
 #: this percentage of a bare composite timed in the same bench run.
 TRACING_OFF_BUDGET_PERCENT = 2.0
 
-#: Perf-smoke ratchet (CI): the steady-state compiled-path throughput
-#: floor.  Deliberately conservative against slow CI containers — the
-#: point is to catch the compiled path silently degrading to
-#: interpreted speed, not to pin this container's figure.
-SMOKE_MIN_WARM_IPS = 12_000
-#: Perf-smoke ratchet (CI): steady-state compiled throughput must beat
-#: the interpreted path by at least this factor, measured as
-#: interleaved rounds on two long-warmed kernels (superblock formation
-#: completes during warmup; see ``_steady_state_ab``).  The reference
-#: container measures 1.6-1.75x; the gate keeps a noise margin below
-#: that so a regression to the old single-record replay (~1.1x) or to
-#: interpreted speed (1.0x) fails loudly without flaking on slow CI.
-SMOKE_MIN_COMPILED_SPEEDUP = 1.50
+#: User-path A/B configuration: one ``run_workload`` call per arm and
+#: round, timed end to end (build, boot, warmup and measurement), from
+#: cold record caches as a fresh ``repro run`` starts.
+USER_PATH_WORKLOAD = "educational"
+USER_PATH_INSTRUCTIONS = 60_000
+USER_PATH_WARMUP = 12_000
+#: Interleaved rounds per arm: the perf smoke, and the full bench (the
+#: distribution the smoke floors below were derived from).
+SMOKE_ROUNDS = 5
+FULL_ROUNDS = 10
 
-#: Steady-state A/B configuration: instructions of warmup per arm
-#: (superblock discovery decays after ~100k instructions), measured
-#: instructions per round, and interleaved rounds per arm.
-STEADY_WARMUP_INSTRUCTIONS = 100_000
-STEADY_ROUND_INSTRUCTIONS = 20_000
-STEADY_ROUNDS = 3
+#: Perf-smoke floor (CI): median replay-arm throughput over the smoke's
+#: rounds, in measured instructions per wall second of the whole call.
+#: The full bench's FULL_ROUNDS on a 2-vCPU container put the replay
+#: arm's lower quartile at 13 083 instr/s; less the ±15% run-to-run
+#: wall-clock noise of that container, rounded down.
+SMOKE_MIN_WARM_IPS = 11_000
+#: Perf-smoke floor (CI): the median per-round replay/interpreted
+#: throughput ratio.  Same ten rounds: lower quartile 1.161 less the
+#: full spread of the per-round ratios (1.123-1.236, 0.113).  Replay
+#: that silently stops replaying sits at 1.00 and fails.
+SMOKE_MIN_REPLAY_SPEEDUP = 1.05
 
 #: Shards for the single-workload sharding benchmark.
 SHARD_COUNT = 4
@@ -182,63 +189,44 @@ class _no_compile:
             os.environ["REPRO_NO_COMPILE"] = self._saved
 
 
-def _enable_codegen_tier():
-    """Promote every replay record straight to generated Python.
+def _user_path_ab(rounds):
+    """Interleaved replay-vs-interpreted ``run_workload`` rounds.
 
-    The bench measures the compiled path as shipped to a long-running
-    experiment: by the time a sweep's measurement window opens, every
-    hot record has crossed ``CODEGEN_THRESHOLD``.  The short bench
-    workloads would leave most records in the op-loop tier (and report
-    ``records_compiled: 0``), so the bench pins the promotion point at
-    the first execution instead of simulating hundreds of thousands of
-    instructions per arm just to cross thresholds.
+    Each round runs both arms, replay first on even rounds and
+    interpreted first on odd ones, so drift in machine load hits both
+    arms alike.  Record caches are cleared before every call so the
+    replay arm pays record resolution and compilation as a fresh
+    process does.  Returns ``(rows, identical)``: per-round
+    ``(replay_ips, interpreted_ips)`` and whether every round's two
+    results serialized to the same bytes.
     """
-    os.environ["REPRO_COMPILE_TIER_THRESHOLD"] = "1"
-
-
-def _steady_state_ab(warmup, instructions, rounds):
-    """Interleaved compiled-vs-interpreted A/B at simulation steady state.
-
-    Builds one kernel per arm, warms each past superblock formation
-    (discovery decays after ~100k instructions), then times ``rounds``
-    alternating measurement rounds *continuing on the same kernels* —
-    compiled, interpreted, compiled, ... — so both arms see the same
-    machine-load drift.  Best round per arm is reported: scheduler
-    noise only ever slows a run down.  Returns ``(compiled_ips,
-    interpreted_ips, stats, identical)`` where ``identical`` asserts
-    both kernels retired the same instructions to bit-identical
-    architectural state (cycle count and register file).
-    """
-    import pickle
-
     from repro.core.compile import clear_record_caches
-    from repro.core.experiment import prepare_workload
+    from repro.core.experiment import run_workload
 
-    def build(no_compile):
+    def timed():
         clear_record_caches()
-        if no_compile:
-            with _no_compile():
-                kernel, _ = prepare_workload(SHARD_WORKLOAD)
-        else:
-            kernel, _ = prepare_workload(SHARD_WORKLOAD)
-        kernel.run(max_instructions=warmup)
-        return kernel
+        started = time.perf_counter()
+        result = run_workload(
+            USER_PATH_WORKLOAD,
+            instructions=USER_PATH_INSTRUCTIONS,
+            warmup_instructions=USER_PATH_WARMUP,
+        )
+        return result, result.instructions / (time.perf_counter() - started)
 
-    compiled_kernel = build(False)
-    interpreted_kernel = build(True)
-    best = {"c": 0.0, "i": 0.0}
-    for _ in range(rounds):
-        for label, kernel in (("c", compiled_kernel), ("i", interpreted_kernel)):
-            started = time.perf_counter()
-            n = kernel.run(max_instructions=instructions)
-            wall = time.perf_counter() - started
-            best[label] = max(best[label], n / wall)
-    ce = compiled_kernel.machine.ebox
-    ie = interpreted_kernel.machine.ebox
-    identical = ce.cycle_count == ie.cycle_count and pickle.dumps(
-        ce.regs
-    ) == pickle.dumps(ie.regs)
-    return best["c"], best["i"], ce.compile_stats, identical
+    rows, identical = [], True
+    for round_index in range(rounds):
+        out = {}
+        for arm in (("replay", "interpreted"), ("interpreted", "replay"))[
+            round_index % 2
+        ]:
+            if arm == "replay":
+                out[arm] = timed()
+            else:
+                with _no_compile():
+                    out[arm] = timed()
+        identical = identical and _equal(out["replay"][0], out["interpreted"][0])
+        rows.append((out["replay"][1], out["interpreted"][1]))
+    return rows, identical
 
 
 def _timed_workload(instructions, warmup, tracer=None):
@@ -268,14 +256,13 @@ def smoke(jobs: int) -> int:
     """CI gate: tiny composite, sequential vs parallel must be
     identical; a traced run must be bit-identical to an untraced one
     (the tracer is passive) with a valid Chrome export; a K=3 sharded
-    run must be bit-identical to the unsharded reference; and the
-    steady-state compiled path must clear the throughput floor and the
-    compiled-vs-interpreted speedup ratchet with superblocks formed."""
+    run must be bit-identical to the unsharded reference; and on the
+    user path the replay arm must be bit-identical to the interpreted
+    arm and clear the throughput and speedup floors."""
     from repro.core.engine import RunSpec, execute_spec, execute_spec_sharded
     from repro.core.experiment import run_workload
     from repro.obs.trace import Tracer, validate_chrome
 
-    _enable_codegen_tier()
     sequential, seq_wall, _ = _measure_composite(600, 150, jobs=1)
     parallel, par_wall, _ = _measure_composite(600, 150, jobs=jobs)
     if not _equal(sequential, parallel):
@@ -317,51 +304,27 @@ def smoke(jobs: int) -> int:
         print("FAIL: sharded run differs from unsharded", file=sys.stderr)
         return 1
 
-    # Replay-compiler bit-identity: a compiled measured run must produce
-    # the same result object as an interpreted one (with the codegen
-    # tier forced on, so the generated functions — superblocks included
-    # — are what actually executes).
-    compiled_result, _ = _timed_workload(2_500, 500)
-    with _no_compile():
-        interpreted_result, _ = _timed_workload(2_500, 500)
-    if not _equal(compiled_result, interpreted_result):
-        print("FAIL: compiled run differs from interpreted", file=sys.stderr)
-        return 1
-
-    # Replay-compiler ratchet: steady-state compiled throughput must
-    # clear the absolute floor and beat the interpreted path, measured
-    # as interleaved rounds on two long-warmed kernels.
-    compiled_ips, interpreted_ips, sb_stats, identical = _steady_state_ab(
-        STEADY_WARMUP_INSTRUCTIONS, STEADY_ROUND_INSTRUCTIONS, STEADY_ROUNDS
-    )
+    # Replay on the user path: interleaved rounds of default-env
+    # run_workload against REPRO_NO_COMPILE=1, every round bit-identical.
+    rows, identical = _user_path_ab(SMOKE_ROUNDS)
     if not identical:
-        print(
-            "FAIL: steady-state compiled kernel diverged from interpreted",
-            file=sys.stderr,
-        )
+        print("FAIL: replay run differs from interpreted", file=sys.stderr)
         return 1
-    if sb_stats.superblocks_formed == 0 or sb_stats.records_compiled == 0:
+    replay_ips = statistics.median(row[0] for row in rows)
+    interpreted_ips = statistics.median(row[1] for row in rows)
+    speedup = statistics.median(row[0] / row[1] for row in rows)
+    if replay_ips < SMOKE_MIN_WARM_IPS:
         print(
-            "FAIL: codegen tier never fired ({} records compiled, "
-            "{} superblocks formed)".format(
-                sb_stats.records_compiled, sb_stats.superblocks_formed
+            "FAIL: replay throughput {:.0f} ips below the {} floor".format(
+                replay_ips, SMOKE_MIN_WARM_IPS
             ),
             file=sys.stderr,
         )
         return 1
-    if compiled_ips < SMOKE_MIN_WARM_IPS:
+    if speedup < SMOKE_MIN_REPLAY_SPEEDUP:
         print(
-            "FAIL: steady-state compiled throughput {:.0f} ips below the {} "
-            "floor".format(compiled_ips, SMOKE_MIN_WARM_IPS),
-            file=sys.stderr,
-        )
-        return 1
-    if compiled_ips < SMOKE_MIN_COMPILED_SPEEDUP * interpreted_ips:
-        print(
-            "FAIL: compiled path {:.0f} ips is not {:.2f}x the interpreted "
-            "{:.0f} ips".format(
-                compiled_ips, SMOKE_MIN_COMPILED_SPEEDUP, interpreted_ips
-            ),
+            "FAIL: replay is {:.2f}x the interpreted path, below the {:.2f}x "
+            "floor".format(speedup, SMOKE_MIN_REPLAY_SPEEDUP),
             file=sys.stderr,
         )
         return 1
@@ -371,19 +334,17 @@ def smoke(jobs: int) -> int:
         "(seq {:.2f}s, par {:.2f}s, {} instructions); "
         "tracing passive ({} events, valid Chrome export); "
         "3-shard merge bit-identical; "
-        "steady-state compiled {:.0f} ips vs interpreted {:.0f} ips "
-        "({:.2f}x, {} superblocks, mean {:.2f} instr/dispatch), "
-        "bit-identical".format(
+        "user-path replay {:.0f} ips vs interpreted {:.0f} ips "
+        "(median of {} rounds, {:.2f}x), bit-identical".format(
             jobs,
             seq_wall,
             par_wall,
             sequential.instructions,
             len(tracer),
-            compiled_ips,
+            replay_ips,
             interpreted_ips,
-            compiled_ips / interpreted_ips,
-            sb_stats.superblocks_formed,
-            sb_stats.superblock_mean_length,
+            SMOKE_ROUNDS,
+            speedup,
         )
     )
     return 0
@@ -406,29 +367,21 @@ def main() -> int:
     from repro.obs.metrics import registry_from_result
 
     # The cold figure represents a user's first run under default
-    # settings — the codegen tier threshold stays at its default here
-    # and is only pinned to 1 (below) for the arms that measure the
-    # compiled path itself.
+    # settings.
     cold_result, cold_wall, _ = _measure_composite(
         INSTRUCTIONS_PER_WORKLOAD, WARMUP_INSTRUCTIONS, jobs=1
     )
-    # Parallel also runs under default settings: each pool worker is a
-    # fresh process, so pinning the tier here would time per-worker
-    # code generation instead of process-pool scaling.
     parallel_result, parallel_wall, _ = _measure_composite(
         INSTRUCTIONS_PER_WORKLOAD, WARMUP_INSTRUCTIONS, jobs=args.jobs
     )
     if not _equal(cold_result, parallel_result):
         print("FAIL: parallel composite differs from sequential", file=sys.stderr)
         return 1
-    _enable_codegen_tier()
-    # Warm (compiled) and interpreted arms run as adjacent interleaved
+    # Warm (replay) and interpreted arms run as adjacent interleaved
     # trials so both see the same machine load — container throughput
     # drifts by tens of percent over minutes, so arms measured far
     # apart produce garbage ratios.  Best wall of three per arm:
-    # scheduler noise only ever slows a run down.  The first warm trial
-    # pays the full generation cost (tier pinned to first sight); the
-    # best-of-three is the converged figure.
+    # scheduler noise only ever slows a run down.
     warm_result = warm_wall = warm_runs = None
     interpreted_result = interpreted_wall = interpreted_runs = None
     for _ in range(3):
@@ -538,21 +491,15 @@ def main() -> int:
     warm_phase_ips = _measure_phase_ips(warm_runs, instructions)
     interpreted_phase_ips = _measure_phase_ips(interpreted_runs, instructions)
 
-    # Steady-state A/B: the headline compiled-path figure, measured past
-    # superblock formation on long-warmed kernels with interleaved
-    # rounds (the short composite arms above never leave the formation
-    # transient, so their ratio understates the compiled path).
-    steady_compiled_ips, steady_interpreted_ips, sb_stats, steady_identical = (
-        _steady_state_ab(
-            STEADY_WARMUP_INSTRUCTIONS, STEADY_ROUND_INSTRUCTIONS, STEADY_ROUNDS
-        )
-    )
-    if not steady_identical:
-        print(
-            "FAIL: steady-state compiled kernel diverged from interpreted",
-            file=sys.stderr,
-        )
+    # User-path A/B: the headline replay figure and the distribution
+    # the perf smoke's floors are derived from.
+    user_rows, user_identical = _user_path_ab(FULL_ROUNDS)
+    if not user_identical:
+        print("FAIL: user-path replay run differs from interpreted", file=sys.stderr)
         return 1
+    user_replay = [row[0] for row in user_rows]
+    user_interpreted = [row[1] for row in user_rows]
+    user_ratios = [row[0] / row[1] for row in user_rows]
 
     # The typed metrics surface: the composite's simulated counters plus
     # the per-run wall-clock self-profiling folded in from the workers.
@@ -633,23 +580,29 @@ def main() -> int:
             if warm_phase_ips and interpreted_phase_ips
             else None,
             "bit_identical_to_interpreted": True,
-            "steady_state": {
-                "workload": SHARD_WORKLOAD,
-                "warmup_instructions": STEADY_WARMUP_INSTRUCTIONS,
-                "round_instructions": STEADY_ROUND_INSTRUCTIONS,
-                "rounds_per_arm": STEADY_ROUNDS,
-                "compiled_instructions_per_second": round(steady_compiled_ips, 1),
-                "interpreted_instructions_per_second": round(
-                    steady_interpreted_ips, 1
-                ),
-                "speedup": round(steady_compiled_ips / steady_interpreted_ips, 2),
+            "user_path": {
+                "workload": USER_PATH_WORKLOAD,
+                "instructions": USER_PATH_INSTRUCTIONS,
+                "warmup_instructions": USER_PATH_WARMUP,
+                "rounds_per_arm": FULL_ROUNDS,
+                "replay_instructions_per_second": [
+                    round(ips, 1) for ips in user_replay
+                ],
+                "interpreted_instructions_per_second": [
+                    round(ips, 1) for ips in user_interpreted
+                ],
+                "speedup": [round(ratio, 3) for ratio in user_ratios],
+                "replay_quartiles": [
+                    round(q, 1) for q in statistics.quantiles(user_replay, n=4)
+                ],
+                "interpreted_quartiles": [
+                    round(q, 1)
+                    for q in statistics.quantiles(user_interpreted, n=4)
+                ],
+                "speedup_quartiles": [
+                    round(q, 3) for q in statistics.quantiles(user_ratios, n=4)
+                ],
                 "bit_identical_to_interpreted": True,
-                "superblocks_formed": sb_stats.superblocks_formed,
-                "superblock_runs": sb_stats.superblock_runs,
-                "superblock_instructions": sb_stats.superblock_instructions,
-                "superblock_deopts": sb_stats.superblock_deopts,
-                "superblock_mean_length": round(sb_stats.superblock_mean_length, 2),
-                "records_compiled": sb_stats.records_compiled,
             },
             "stats": compile_stats,
         },

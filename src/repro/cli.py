@@ -48,9 +48,8 @@ Commands
     Ask questions of a trace: ``repro query "stall cycles where
     track=MEM and routine=SPEC_FETCH"`` against a stored trace
     (``--trace``) or a fresh in-process traced run (``--workload``).
-    ``--jit`` captures compile-lifecycle events (record/superblock
-    formation, tier-ups, deopts, fallbacks) with the compiled hot path
-    still enabled.
+    ``--jit`` captures replay lifecycle events (records formed,
+    interpreter fallbacks) with replay still enabled.
 ``check [WORKLOAD]``
     Evaluate every counter identity (cycle classification, instruction
     counts, miss splits, and with ``--trace`` the trace-vs-counter
@@ -1016,17 +1015,6 @@ def cmd_bench(args) -> int:
                 compile_stats.get("records_compiled", 0),
             )
         )
-        if compile_stats.get("superblock_runs"):
-            emit(
-                "superblocks: {} formed, {} dispatches retiring {} instructions "
-                "(mean {:.2f}/dispatch), {} deopts".format(
-                    compile_stats.get("superblocks_formed", 0),
-                    compile_stats.get("superblock_runs", 0),
-                    compile_stats.get("superblock_instructions", 0),
-                    compile_stats.get("superblock_mean_length", 0.0),
-                    compile_stats.get("superblock_deopts", 0),
-                )
-            )
     return 0
 
 
@@ -1101,30 +1089,6 @@ def cmd_stats(args) -> int:
                     compile_stats.get("records_compiled", 0),
                 )
             )
-            if compile_stats.get("superblock_runs"):
-                emit(
-                    "  superblocks: {} formed, {} dispatches retiring {} "
-                    "instructions (mean {:.2f}/dispatch), {} deopts".format(
-                        compile_stats.get("superblocks_formed", 0),
-                        compile_stats.get("superblock_runs", 0),
-                        compile_stats.get("superblock_instructions", 0),
-                        compile_stats.get("superblock_mean_length", 0.0),
-                        compile_stats.get("superblock_deopts", 0),
-                    )
-                )
-            reasons = {
-                key.split(".", 1)[1]: value
-                for key, value in compile_stats.items()
-                if key.startswith("deopt.") and value
-            }
-            if reasons:
-                emit(
-                    "  deopt reasons: "
-                    + ", ".join(
-                        "{} {}".format(reason, count)
-                        for reason, count in sorted(reasons.items())
-                    )
-                )
             causes = {
                 key.split(".", 1)[1]: value
                 for key, value in compile_stats.items()
@@ -1156,6 +1120,40 @@ def cmd_stats(args) -> int:
     return 0
 
 
+def _workload(text: str) -> str:
+    """argparse type: a known workload name (exit 2 otherwise)."""
+    from repro.workloads import PROFILES
+
+    if text not in PROFILES:
+        raise argparse.ArgumentTypeError(
+            "unknown workload {!r} (known: {})".format(
+                text, ", ".join(sorted(PROFILES))
+            )
+        )
+    return text
+
+
+def _budget(minimum: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < minimum:
+            raise argparse.ArgumentTypeError(
+                "expected an integer >= {}, got {!r}".format(minimum, text)
+            )
+        return value
+
+    return parse
+
+
+#: argparse types for instruction budgets: measured runs need at least
+#: one instruction, warmup may be zero.
+_positive_int = _budget(1)
+_non_negative_int = _budget(0)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -1179,14 +1177,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("diagram").set_defaults(func=cmd_diagram)
 
     run_parser = sub.add_parser("run", help="measure one workload")
-    run_parser.add_argument("workload")
-    run_parser.add_argument("--instructions", type=int, default=10_000)
-    run_parser.add_argument("--warmup", type=int, default=2_000)
+    run_parser.add_argument("workload", type=_workload)
+    run_parser.add_argument("--instructions", type=_positive_int, default=10_000)
+    run_parser.add_argument("--warmup", type=_non_negative_int, default=2_000)
     run_parser.set_defaults(func=cmd_run)
 
     composite_parser = sub.add_parser("composite", help="the five-workload composite")
-    composite_parser.add_argument("--instructions", type=int, default=10_000)
-    composite_parser.add_argument("--warmup", type=int, default=2_000)
+    composite_parser.add_argument("--instructions", type=_positive_int, default=10_000)
+    composite_parser.add_argument("--warmup", type=_non_negative_int, default=2_000)
     composite_parser.add_argument(
         "--jobs",
         type=int,
@@ -1249,10 +1247,10 @@ def build_parser() -> argparse.ArgumentParser:
     snapshot_save = snapshot_sub.add_parser(
         "save", help="run a workload and freeze the machine mid-measurement"
     )
-    snapshot_save.add_argument("workload")
-    snapshot_save.add_argument("--instructions", type=int, default=2_000,
+    snapshot_save.add_argument("workload", type=_workload)
+    snapshot_save.add_argument("--instructions", type=_positive_int, default=2_000,
                                help="measured instructions to run before freezing")
-    snapshot_save.add_argument("--warmup", type=int, default=500)
+    snapshot_save.add_argument("--warmup", type=_non_negative_int, default=500)
     snapshot_save.add_argument(
         "--output", default=None, help="snapshot path (default <workload>_<n>.snap)"
     )
@@ -1318,12 +1316,12 @@ def build_parser() -> argparse.ArgumentParser:
         "submit", help="submit a sweep to a running experiment service"
     )
     submit_parser.add_argument(
-        "workloads", nargs="*",
+        "workloads", nargs="*", type=_workload,
         help="workloads to measure (default: the five-workload composite)",
     )
     submit_parser.add_argument("--url", default="http://127.0.0.1:8765")
-    submit_parser.add_argument("--instructions", type=int, default=10_000)
-    submit_parser.add_argument("--warmup", type=int, default=2_000)
+    submit_parser.add_argument("--instructions", type=_positive_int, default=10_000)
+    submit_parser.add_argument("--warmup", type=_non_negative_int, default=2_000)
     submit_parser.add_argument(
         "--on-error", choices=("raise", "collect"), default="raise"
     )
@@ -1361,18 +1359,18 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_parser = sub.add_parser(
         "sweep", help="design-space sweep of one machine parameter"
     )
-    sweep_parser.add_argument("workload")
+    sweep_parser.add_argument("workload", type=_workload)
     sweep_parser.add_argument("param", choices=sorted(_SWEEP_PARAMS))
     sweep_parser.add_argument("values", type=int, nargs="+")
-    sweep_parser.add_argument("--instructions", type=int, default=6_000)
-    sweep_parser.add_argument("--warmup", type=int, default=1_500)
+    sweep_parser.add_argument("--instructions", type=_positive_int, default=6_000)
+    sweep_parser.add_argument("--warmup", type=_non_negative_int, default=1_500)
     sweep_parser.add_argument("--jobs", type=int, default=1)
     sweep_parser.set_defaults(func=cmd_sweep)
 
     opcode_parser = sub.add_parser("opcodes", help="per-opcode frequency report")
-    opcode_parser.add_argument("workload")
-    opcode_parser.add_argument("--instructions", type=int, default=10_000)
-    opcode_parser.add_argument("--warmup", type=int, default=2_000)
+    opcode_parser.add_argument("workload", type=_workload)
+    opcode_parser.add_argument("--instructions", type=_positive_int, default=10_000)
+    opcode_parser.add_argument("--warmup", type=_non_negative_int, default=2_000)
     opcode_parser.add_argument("--top", type=int, default=15)
     opcode_parser.set_defaults(func=cmd_opcodes)
 
@@ -1381,9 +1379,9 @@ def build_parser() -> argparse.ArgumentParser:
     trace_parser = sub.add_parser(
         "trace", help="run one workload with cycle-level tracing and export it"
     )
-    trace_parser.add_argument("workload")
-    trace_parser.add_argument("--instructions", type=int, default=2_000)
-    trace_parser.add_argument("--warmup", type=int, default=500)
+    trace_parser.add_argument("workload", type=_workload)
+    trace_parser.add_argument("--instructions", type=_positive_int, default=2_000)
+    trace_parser.add_argument("--warmup", type=_non_negative_int, default=500)
     trace_parser.add_argument(
         "--output", default=None, help="output path stem (default trace_<workload>)"
     )
@@ -1419,10 +1417,11 @@ def build_parser() -> argparse.ArgumentParser:
     query_parser.add_argument(
         "--workload",
         default=None,
+        type=_workload,
         help="run this workload traced in-process and query the capture",
     )
-    query_parser.add_argument("--instructions", type=int, default=5_000)
-    query_parser.add_argument("--warmup", type=int, default=1_000)
+    query_parser.add_argument("--instructions", type=_positive_int, default=5_000)
+    query_parser.add_argument("--warmup", type=_non_negative_int, default=1_000)
     query_parser.add_argument(
         "--jit",
         action="store_true",
@@ -1448,10 +1447,11 @@ def build_parser() -> argparse.ArgumentParser:
         "workload",
         nargs="?",
         default=None,
+        type=_workload,
         help="workload to check (default: all five)",
     )
-    check_parser.add_argument("--instructions", type=int, default=10_000)
-    check_parser.add_argument("--warmup", type=int, default=2_000)
+    check_parser.add_argument("--instructions", type=_positive_int, default=10_000)
+    check_parser.add_argument("--warmup", type=_non_negative_int, default=2_000)
     check_parser.add_argument(
         "--trace",
         action="store_true",
@@ -1485,9 +1485,9 @@ def build_parser() -> argparse.ArgumentParser:
     validate_parser.add_argument(
         "--mode",
         default="all",
-        choices=("all", "interpreted", "compiled", "tier1", "current"),
+        choices=("all", "interpreted", "compiled", "current"),
         help="compile mode(s) to run under; 'current' keeps the caller's "
-        "environment (default: all three pinned modes)",
+        "environment (default: both pinned modes)",
     )
     validate_parser.add_argument(
         "--no-trace",
@@ -1508,13 +1508,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench_parser.add_argument(
         "--instructions",
-        type=int,
+        type=_positive_int,
         default=None,
         help="instructions per workload (default: the committed config)",
     )
     bench_parser.add_argument(
         "--warmup",
-        type=int,
+        type=_non_negative_int,
         default=None,
         help="warmup instructions (default: the committed config)",
     )
@@ -1531,9 +1531,9 @@ def build_parser() -> argparse.ArgumentParser:
     stats_parser = sub.add_parser(
         "stats", help="metrics + provenance for one workload (or the composite)"
     )
-    stats_parser.add_argument("workload", nargs="?", default=None)
-    stats_parser.add_argument("--instructions", type=int, default=5_000)
-    stats_parser.add_argument("--warmup", type=int, default=1_000)
+    stats_parser.add_argument("workload", nargs="?", default=None, type=_workload)
+    stats_parser.add_argument("--instructions", type=_positive_int, default=5_000)
+    stats_parser.add_argument("--warmup", type=_non_negative_int, default=1_000)
     stats_parser.add_argument("--jobs", type=int, default=1)
     stats_parser.add_argument(
         "--json", action="store_true", help="emit the snapshot as JSON"

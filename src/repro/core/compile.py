@@ -1,4 +1,4 @@
-"""Compiled micro-routine hot path: replay programs for the EBOX.
+"""Replay programs: the EBOX's compiled execution mode.
 
 The interpreted EBOX charges every microcycle one ``_tick`` at a time:
 each simulated cycle is a Python call chain (slot lookup, monitor
@@ -10,40 +10,42 @@ overhead: precompute what a measured unit *will* do, replay its net
 effect in a few batched steps, and validate the shortcut against exact
 ground truth (the repository's bit-identical golden digests).
 
-Three layers:
+The simulator has exactly two execution modes: the interpreted EBOX
+(``REPRO_NO_COMPILE=1``, and the oracle every replay is checked
+against) and replay programs (the default).  Replay is built in two
+layers:
 
-* :class:`RoutineProgram` / :class:`LayoutReplay` — the
-  ``build_layout``-time specializer.  Each microroutine in the control
-  store is flattened into a dense replay program: its per-slot
+* **compile** — first :class:`RoutineProgram` / :class:`LayoutReplay`,
+  the ``build_layout``-time specializer: each microroutine in the
+  control store is flattened into a dense replay program, its per-slot
   histogram buckets plus the precomputed (bucket, count) increment
   sequences its compute charges produce, patched-entry abort detour
-  included.
-* :func:`compile_record` — the trace-JIT.  Given the raw bytes of one
-  instruction it merges the routine programs along the decode →
-  specifier → execute path into an :class:`InstructionRecord`: an op
-  list of CONSUME / ADVANCE / SPEC / BRANCH steps that preserves the
-  interpreted path's exact interleaving of I-stream consumption, cycle
-  charging, event counting and memory references (so the cache, TB,
-  write buffer and prefetcher see byte-identical traffic, and
-  ``Counter`` key insertion order is preserved) while batching
-  everything else.  Records are keyed by raw instruction bytes — the
-  uops.info keying: one record per opcode × specifier-mode
-  (× displacement) variant — and shared by every machine on the same
-  layout.
-* :func:`execute_record` — the replay engine ``EBox.step`` dispatches
-  to.  It bails out *before mutating anything* unless the
-  instruction's full byte image is either already in the IB or
-  provably on its way: a side-effect-free lookahead (:func:`peek_image`
-  / ``_image_ready``) checks that no fill or TB miss is in flight and
-  that the TB-resident pages ahead of the prefetcher hold exactly the
-  record's remaining bytes.  Mid-replay IB under-runs (the buffer was
-  flushed by a taken branch and refills during the instruction) ride
-  the interpreter's own ``_take_bytes`` stall loop, one consume per
-  interpreted ``take``, so stall cycles land on the same wait routine
-  at the same instant.  The other dynamic events (read/write stalls,
-  TB misses, page faults, unaligned detours) are handled by the same
-  ``EBox.data_read`` / ``data_write`` code the interpreter uses, so
-  they are equivalent by construction.
+  included.  Then :func:`compile_record`, the trace-JIT: given the raw
+  bytes of one instruction it merges the routine programs along the
+  decode → specifier → execute path into an
+  :class:`InstructionRecord`, an op list of CONSUME / ADVANCE / SPEC /
+  BRANCH steps that preserves the interpreted path's exact
+  interleaving of I-stream consumption, cycle charging, event counting
+  and memory references (so the cache, TB, write buffer and prefetcher
+  see byte-identical traffic, and ``Counter`` key insertion order is
+  preserved) while batching everything else.  Records are keyed by raw
+  instruction bytes — the uops.info keying: one record per opcode ×
+  specifier-mode (× displacement) variant — and shared by every
+  machine on the same layout.
+* **replay** — :func:`execute_record`, which ``EBox.step`` calls for
+  every instruction with a record.  It bails out *before mutating
+  anything* unless the instruction's full byte image is either already
+  in the IB or provably on its way: a side-effect-free lookahead
+  (:func:`peek_image` / ``_image_ready``) checks that no fill or TB
+  miss is in flight and that the TB-resident pages ahead of the
+  prefetcher hold exactly the record's remaining bytes.  Mid-replay
+  IB under-runs (the buffer was flushed by a taken branch and refills
+  during the instruction) ride the interpreter's own ``_take_bytes``
+  stall loop, one consume per interpreted ``take``, so stall cycles
+  land on the same wait routine at the same instant.  The other
+  dynamic events (read/write stalls, TB misses, page faults, unaligned
+  detours) are handled by the same ``EBox.data_read`` / ``data_write``
+  code the interpreter uses, so they are equivalent by construction.
 
 Anything the replay cannot prove static falls back to the interpreted
 path: I-stream bytes neither buffered nor verifiable ahead of the
@@ -168,30 +170,6 @@ def compile_disabled_by_env() -> bool:
     )
 
 
-#: Environment override for the codegen tier threshold: the number of
-#: op-loop executions a record earns before its specialized function is
-#: generated.  ``REPRO_COMPILE_TIER_THRESHOLD=1`` generates code at
-#: record creation (warm benchmarks, the CI tier-1 leg); unset or
-#: invalid values fall back to :data:`CODEGEN_THRESHOLD`.
-TIER_THRESHOLD_ENV = "REPRO_COMPILE_TIER_THRESHOLD"
-
-
-def codegen_threshold() -> int:
-    """The effective codegen tier threshold (env override or default).
-
-    Read at record creation, so it can be flipped between runs without
-    reloading the module; already-created records keep the threshold
-    they were born with (use :func:`clear_record_caches` to rebuild).
-    """
-    raw = os.environ.get(TIER_THRESHOLD_ENV, "").strip()
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            pass
-    return CODEGEN_THRESHOLD
-
-
 @dataclass
 class CompileStats:
     """Per-machine replay diagnostics (never part of measured results).
@@ -216,18 +194,10 @@ class CompileStats:
     fast_cycles: int = 0
     #: cycles charged by interpreted instructions (compile enabled)
     slow_cycles: int = 0
-    #: chained superblocks generated (windows promoted to one function)
-    superblocks_formed: int = 0
-    #: superblock dispatches that retired at least one instruction
+    #: always zero: the benchmark harness reads them; a later
+    #: benchmark change retires them
     superblock_runs: int = 0
-    #: instructions retired inside superblock dispatches
-    superblock_instructions: int = 0
-    #: superblock dispatches that exited before the full window
-    #: (pending interrupt, cycle limit, or a byte-guard mismatch)
     superblock_deopts: int = 0
-    #: superblock deopts by reason ("interrupt" / "cycle_limit" /
-    #: "byte_guard"), diagnosed at the deopt site
-    deopt_reasons: dict = field(default_factory=dict)
     #: interpreter fallbacks by cause ("uncompilable" / "byte_mismatch"
     #: / "unresolved"), diagnosed on the jit-miss path
     fallback_causes: dict = field(default_factory=dict)
@@ -242,71 +212,12 @@ class CompileStats:
         total = self.fast_cycles + self.slow_cycles
         return self.fast_cycles / total if total else 0.0
 
-    @property
-    def superblock_mean_length(self) -> float:
-        runs = self.superblock_runs
-        return self.superblock_instructions / runs if runs else 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "routines_specialized": self.routines_specialized,
-            "records_compiled": self.records_compiled,
-            "jit_hits": self.jit_hits,
-            "jit_misses": self.jit_misses,
-            "byte_fallbacks": self.byte_fallbacks,
-            "uncompilable": self.uncompilable,
-            "fast_cycles": self.fast_cycles,
-            "slow_cycles": self.slow_cycles,
-            "superblocks_formed": self.superblocks_formed,
-            "superblock_runs": self.superblock_runs,
-            "superblock_instructions": self.superblock_instructions,
-            "superblock_deopts": self.superblock_deopts,
-            "deopt_reasons": dict(sorted(self.deopt_reasons.items())),
-            "fallback_causes": dict(sorted(self.fallback_causes.items())),
-            "superblock_mean_length": round(self.superblock_mean_length, 2),
-            "fast_instruction_fraction": round(self.fast_instruction_fraction, 4),
-            "fast_cycle_fraction": round(self.fast_cycle_fraction, 4),
-        }
-
-    def merge_from(self, other: "CompileStats") -> None:
-        """Accumulate another machine's stats (shard merging)."""
-        self.routines_specialized = max(
-            self.routines_specialized, other.routines_specialized
-        )
-        self.records_compiled += other.records_compiled
-        self.jit_hits += other.jit_hits
-        self.jit_misses += other.jit_misses
-        self.byte_fallbacks += other.byte_fallbacks
-        self.uncompilable += other.uncompilable
-        self.fast_cycles += other.fast_cycles
-        self.slow_cycles += other.slow_cycles
-        self.superblocks_formed += other.superblocks_formed
-        self.superblock_runs += other.superblock_runs
-        self.superblock_instructions += other.superblock_instructions
-        self.superblock_deopts += other.superblock_deopts
-        for reason, count in other.deopt_reasons.items():
-            self.deopt_reasons[reason] = self.deopt_reasons.get(reason, 0) + count
-        for cause, count in other.fallback_causes.items():
-            self.fallback_causes[cause] = self.fallback_causes.get(cause, 0) + count
-
-    def note_deopt(self, reason: str) -> None:
-        self.deopt_reasons[reason] = self.deopt_reasons.get(reason, 0) + 1
-
     def note_fallback(self, cause: str) -> None:
         self.fallback_causes[cause] = self.fallback_causes.get(cause, 0) + 1
 
 
 #: MetricsRegistry name prefix for the replay diagnostics.
 METRIC_PREFIX = "sim.compile."
-
-# Lifecycle-event kinds, bound locally so emission sites read tersely.
-from repro.obs.channel import (  # noqa: E402  (grouped with its users)
-    KIND_DEOPT as _KIND_DEOPT,
-    KIND_FALLBACK as _KIND_FALLBACK,
-    KIND_RECORD_FORMED as _KIND_RECORD_FORMED,
-    KIND_SUPERBLOCK_FORMED as _KIND_SUPERBLOCK_FORMED,
-    KIND_TIER_UP as _KIND_TIER_UP,
-)
 
 #: CompileStats fields that accumulate (counters; the remainder are
 #: point-in-time gauges).
@@ -318,9 +229,7 @@ _COUNTER_FIELDS = (
     "uncompilable",
     "fast_cycles",
     "slow_cycles",
-    "superblocks_formed",
     "superblock_runs",
-    "superblock_instructions",
     "superblock_deopts",
 )
 
@@ -341,11 +250,6 @@ def record_metrics(
     """
     for name in _COUNTER_FIELDS:
         registry.counter(METRIC_PREFIX + name).inc(getattr(stats, name))
-    for reason, count in sorted(stats.deopt_reasons.items()):
-        registry.counter(
-            METRIC_PREFIX + "deopt." + reason,
-            "superblock deopts: " + reason,
-        ).inc(count)
     for cause, count in sorted(stats.fallback_causes.items()):
         registry.counter(
             METRIC_PREFIX + "fallback." + cause,
@@ -400,16 +304,11 @@ def stats_from_snapshot(snapshot) -> "dict | None":
     slow = out.get("slow_cycles", 0)
     if fast + slow:
         out["fast_cycle_fraction"] = round(fast / (fast + slow), 4)
-    runs = out.get("superblock_runs", 0)
-    if runs:
-        out["superblock_mean_length"] = round(
-            out.get("superblock_instructions", 0) / runs, 2
-        )
     return out
 
 
 # ---------------------------------------------------------------------------
-# layer 1: routine specialization (build_layout time)
+# layer 1: compile — routine specialization (build_layout time)
 # ---------------------------------------------------------------------------
 
 
@@ -522,7 +421,7 @@ def specialize_layout(layout) -> LayoutReplay:
 
 
 # ---------------------------------------------------------------------------
-# layer 2: the instruction compiler (trace-JIT)
+# layer 1, continued: the instruction compiler (trace-JIT)
 # ---------------------------------------------------------------------------
 
 
@@ -571,9 +470,6 @@ class InstructionRecord:
         "exec_routine",
         "merge_pending",
         "last_source_routine",
-        "run",
-        "hits",
-        "chainable",
     )
 
     #: distinguishes real records from NeverRecord on the hot path
@@ -757,16 +653,6 @@ def compile_record(layout, raw, decode_overlap: bool):
         in (AddressingMode.REGISTER, AddressingMode.SHORT_LITERAL)
     )
     record.last_source_routine = last_source_routine
-    # SYSTEM-group instructions (HALT, CHMx, REI, LDPCTX, MTPR, ...) can
-    # halt the machine, swap the event sink, redirect privilege or IPL —
-    # exactly the state superblock prologues hoist — so they end chains.
-    record.chainable = opcode.group is not OpcodeGroup.SYSTEM
-    record.hits = 0
-    threshold = codegen_threshold()
-    if threshold <= 1:
-        record.run = _codegen(record)
-    else:
-        record.run = _tiered_run(record, threshold)
     return record
 
 
@@ -938,10 +824,7 @@ def resolve(layout, buf, decode_overlap: bool, stats=None):
                     return record
     key = bytes(buf[:_MAX_IMAGE])
     count = sightings.get(key, 0) + 1
-    # The tier-threshold override collapses the sighting gate too:
-    # benchmarks and the CI tier leg want every generation cost paid on
-    # first sight (cold run / warmup), not trickled across measurement.
-    if count < _COMPILE_MIN_SIGHTINGS and codegen_threshold() > 1:
+    if count < _COMPILE_MIN_SIGHTINGS:
         if len(sightings) >= _SIGHTINGS_CAP:
             sightings.clear()
         sightings[key] = count
@@ -961,6 +844,17 @@ def resolve(layout, buf, decode_overlap: bool, stats=None):
         records[(record.raw, decode_overlap)] = record
         lengths.setdefault(record.raw[0], set()).add(len(record.raw))
     return record
+
+
+def clear_record_caches() -> None:
+    """Drop every layout's byte-keyed record cache.
+
+    Benchmarks call this between rounds so each run resolves and
+    compiles its records from cold, as a fresh process would (machines
+    built afterwards start with empty per-machine caches; the
+    layout-wide record caches are what persists across machines).
+    """
+    _LAYOUT_RECORDS.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -1090,780 +984,7 @@ def peek_image(ebox):
 
 
 # ---------------------------------------------------------------------------
-# layer 3: per-record code generation
-# ---------------------------------------------------------------------------
-
-#: Executions of a record through the op-loop executor before its
-#: specialized function is generated.  ``compile()``-ing the emitted
-#: source costs ~0.5 ms per record; one-shot records (cold code, boot
-#: paths) never earn it back, while hot-loop records cross this within
-#: the warmup of any real run.
-CODEGEN_THRESHOLD = 16
-
-
-def _tiered_run(record, threshold=None):
-    """The warm tier: interpret the op list, counting executions.
-
-    Once the record proves hot, generate its specialized function and
-    replace ``record.run`` with it — subsequent dispatches go straight
-    to the generated code with no check at all.  ``threshold`` pins the
-    promotion point at record creation (the env override); ``None``
-    reads the module default live, so tests can patch it.
-    """
-
-    def run(ebox, start_va):
-        hits = record.hits + 1
-        record.hits = hits
-        if hits >= (threshold if threshold is not None else CODEGEN_THRESHOLD):
-            record.run = _codegen(record)
-            channel = ebox._compile_events
-            if channel is not None:
-                channel.emit(
-                    ebox.cycle_count, _KIND_TIER_UP, record.mnemonic, hits
-                )
-            return record.run(ebox, start_va)
-        return execute_record(record, ebox, start_va)
-
-    return run
-
-
-def _op_uses(ops):
-    """Which prologue bindings a record's op list needs.
-
-    Returns ``(uses_counts, uses_regs, uses_data_read, uses_start_va)``;
-    the generated prologue only hoists what the body references.
-    """
-    uses_counts = False
-    uses_regs = False
-    uses_data_read = False
-    uses_start_va = False
-    for op in ops:
-        kind = op[0]
-        if kind in (OP_ADVANCE, OP_DECODE_TICK):
-            uses_counts = True
-        elif kind == OP_SPEC:
-            template = op[1]
-            if template.kind == K_MEMORY:
-                uses_regs = uses_regs or template.ea_kind != EA_ABSOLUTE
-                uses_data_read = uses_data_read or (
-                    template.read_value
-                    or template.ea_kind
-                    in (
-                        EA_AUTOINCREMENT_DEFERRED,
-                        EA_DISPLACEMENT_DEFERRED,
-                        EA_RELATIVE_DEFERRED,
-                    )
-                )
-                uses_regs = uses_regs or template.is_indexed
-                uses_start_va = uses_start_va or template.ea_kind in (
-                    EA_RELATIVE,
-                    EA_RELATIVE_DEFERRED,
-                )
-            elif template.kind == K_REGISTER and template.read_value:
-                uses_regs = True
-    return uses_counts, uses_regs, uses_data_read, uses_start_va
-
-
-def _fold_incs(incs):
-    """Coalesce a charge burst's (bucket, count) pairs.
-
-    Increments inside one burst commute; a merged burst can touch the
-    same bucket twice.
-    """
-    folded = []
-    for bucket, count in incs:
-        for i, (seen, total) in enumerate(folded):
-            if seen == bucket:
-                folded[i] = (bucket, total + count)
-                break
-        else:
-            folded.append((bucket, count))
-    return folded
-
-
-class _Deferred:
-    """Statically-known event increments batched to one commit per block.
-
-    A superblock defers every event/histogram increment whose amount is
-    known at build time — specifier and opcode Counter keys, byte and
-    instruction totals, the charge bursts' histogram buckets — and
-    commits them once per dispatch.  Scalars and histogram buckets
-    commute, so folding across segments is unconditionally safe;
-    Counter-dict increments fold in first-occurrence program order so
-    key insertion order (part of the bit-identity contract on
-    serialized results) matches an interpreted run.  Snapshots taken at
-    segment boundaries become the prefix tables early exits commit.
-    """
-
-    __slots__ = ("_totals",)
-
-    def __init__(self):
-        self._totals = {}  # (kind, attr, key) -> total, insertion-ordered
-
-    def _add(self, entry, n):
-        totals = self._totals
-        totals[entry] = totals.get(entry, 0) + n
-
-    def scalar(self, attr, n=1):
-        self._add(("s", attr, None), n)
-
-    def dict_count(self, attr, key, n=1):
-        self._add(("d", attr, key), n)
-
-    def buckets(self, incs):
-        for bucket, count in incs:
-            self._add(("c", None, bucket), count)
-
-    def snapshot(self):
-        """Commit entries so far, in first-occurrence order."""
-        return tuple(
-            (kind, attr, key, total)
-            for (kind, attr, key), total in self._totals.items()
-        )
-
-
-def _commit_prefix(events, counts, entries):
-    """Apply a prefix table: the deferred increments of the segments a
-    superblock dispatch completed before exiting early."""
-    for kind, attr, key, total in entries:
-        if kind == "s":
-            setattr(events, attr, getattr(events, attr) + total)
-        elif kind == "d":
-            getattr(events, attr)[key] += total
-        elif counts is not None:  # "c": histogram buckets, collecting only
-            counts[key] += total
-
-
-def _emit_ops(emit, cref, record, ovar_prefix="_o", defer=None):
-    """Emit the replay statements for one record's op list.
-
-    The shared body of the per-record generator and the superblock
-    generator: cycle charges, I-stream consumes, specifier evaluation
-    and operand construction, at 4-space indent over the standard
-    prologue names (``ebox``, ``ib``, ``buf``, ``events``,
-    ``collecting``, ``counts``, ``ib_run``, ``regs``, ``regs_read``,
-    ``data_read``, ``start_va``).  With ``defer`` set, statically-known
-    event increments are collected there instead of emitted inline
-    (OP_DECODE_TICK's stay inline — they are conditional on the
-    previous instruction's redirect).  Returns the operand variable
-    names for the handler call.
-    """
-
-    def emit_incs(incs, indent):
-        emit("{}if collecting:".format(indent))
-        for bucket, count in _fold_incs(incs):
-            emit("{}    counts[{}] += {}".format(indent, bucket, count))
-
-    operand_vars = []
-    for op in record.ops:
-        kind = op[0]
-        if kind == OP_ADVANCE:
-            if defer is None:
-                emit_incs(op[2], "    ")
-            else:
-                defer.buckets(_fold_incs(op[2]))
-            emit("    ebox.cycle_count += {}".format(op[1]))
-            # The prefetcher's nothing-can-happen exits (fill
-            # outstanding handled by run(); TB-miss paused or buffer
-            # full advance the clock and return) inlined at the call
-            # site — the overwhelmingly common burst.
-            emit("    _w = ib._fill_wait")
-            emit("    if _w == 0:")
-            emit("        if ib.tb_miss_pending or len(buf) >= 8:")
-            emit("            ib._now += {}".format(op[1]))
-            emit("        else:")
-            emit("            ib_run({})".format(op[1]))
-            emit("    elif _w > {}:".format(op[1]))
-            emit("        ib._fill_wait = _w - {}".format(op[1]))
-            emit("        ib._now += {}".format(op[1]))
-            emit("    else:")
-            emit("        ib_run({})".format(op[1]))
-        elif kind == OP_CONSUME:
-            emit("    if len(buf) >= {}:".format(op[1]))
-            emit("        del buf[:{}]".format(op[1]))
-            emit("        ib._decode_va += {}".format(op[1]))
-            emit("    else:")
-            emit("        ebox._take_bytes({}, {})".format(op[1], cref(op[2])))
-        elif kind == OP_SPEC:
-            template = op[1]
-            if defer is None:
-                if template.is_indexed:
-                    emit(
-                        "    events.indexed_specifiers[{!r}] += 1".format(
-                            template.position_class
-                        )
-                    )
-                emit(
-                    "    events.specifier_counts[{!r}] += 1".format(
-                        template.count_key
-                    )
-                )
-                emit("    events.specifier_bytes += {}".format(template.length))
-            else:
-                if template.is_indexed:
-                    defer.dict_count(
-                        "indexed_specifiers", template.position_class
-                    )
-                defer.dict_count("specifier_counts", template.count_key)
-                defer.scalar("specifier_bytes", template.length)
-            var = "{}{}".format(ovar_prefix, len(operand_vars))
-            operand_vars.append(var)
-            address = "None"
-            value = "None"
-            if template.kind == K_MEMORY:
-                ea_kind = template.ea_kind
-                reg = template.register
-                if ea_kind == EA_DISPLACEMENT:
-                    emit(
-                        "    _addr = (regs_read({}) + {}) & 0xFFFFFFFF".format(
-                            reg, template.extension
-                        )
-                    )
-                elif ea_kind == EA_REG_DEFERRED:
-                    emit("    _addr = regs_read({})".format(reg))
-                elif ea_kind == EA_AUTOINCREMENT:
-                    emit("    _addr = regs_read({})".format(reg))
-                    emit(
-                        "    regs.write({}, _addr + {})".format(reg, template.size)
-                    )
-                elif ea_kind == EA_AUTODECREMENT:
-                    emit(
-                        "    _addr = (regs_read({}) - {}) & 0xFFFFFFFF".format(
-                            reg, template.size
-                        )
-                    )
-                    emit("    regs.write({}, _addr)".format(reg))
-                elif ea_kind == EA_AUTOINCREMENT_DEFERRED:
-                    emit("    _ptr = regs_read({})".format(reg))
-                    emit("    regs.write({}, _ptr + 4)".format(reg))
-                    emit(
-                        "    _addr = data_read(_ptr, 4, {}, {!r})".format(
-                            cref(template.routine), template.row
-                        )
-                    )
-                elif ea_kind == EA_DISPLACEMENT_DEFERRED:
-                    emit(
-                        "    _ptr = (regs_read({}) + {}) & 0xFFFFFFFF".format(
-                            reg, template.extension
-                        )
-                    )
-                    emit(
-                        "    _addr = data_read(_ptr, 4, {}, {!r})".format(
-                            cref(template.routine), template.row
-                        )
-                    )
-                elif ea_kind == EA_RELATIVE:
-                    emit(
-                        "    _addr = (start_va + {}) & 0xFFFFFFFF".format(
-                            template.rel_partial
-                        )
-                    )
-                elif ea_kind == EA_ABSOLUTE:
-                    emit("    _addr = {}".format(template.extension & _MASK32))
-                else:  # EA_RELATIVE_DEFERRED
-                    emit(
-                        "    _ptr = (start_va + {}) & 0xFFFFFFFF".format(
-                            template.rel_partial
-                        )
-                    )
-                    emit(
-                        "    _addr = data_read(_ptr, 4, {}, {!r})".format(
-                            cref(template.routine), template.row
-                        )
-                    )
-                if template.is_indexed:
-                    emit(
-                        "    _addr = (_addr + regs_read({}) * {}) & 0xFFFFFFFF".format(
-                            template.index_register, template.size
-                        )
-                    )
-                address = "_addr"
-                if template.read_value:
-                    emit(
-                        "    _val = data_read(_addr, {}, {}, {!r})".format(
-                            template.size, cref(template.routine), template.row
-                        )
-                    )
-                    value = "_val"
-            elif template.kind == K_REGISTER and template.read_value:
-                if template.reg_quad:
-                    emit(
-                        "    _val = regs_read({}) | (regs_read({}) << 32)".format(
-                            template.register, (template.register + 1) & 0xF
-                        )
-                    )
-                else:
-                    emit(
-                        "    _val = regs_read({}) & {}".format(
-                            template.register, template.reg_mask
-                        )
-                    )
-                value = "_val"
-            elif template.kind == K_VALUE:
-                value = repr(template.value)
-            emit(
-                "    {} = {}({}, {}, {}, {}, {}, {}, {!r}, {})".format(
-                    var,
-                    cref(OperandRef),
-                    cref(template.spec),
-                    cref(template.mode),
-                    template.register,
-                    address,
-                    value,
-                    cref(template.routine),
-                    template.position_class,
-                    template.is_indexed,
-                )
-            )
-        elif kind == OP_BRANCH:
-            emit("    ebox.branch_displacement = {}".format(op[2]))
-            if defer is None:
-                emit("    events.branch_displacements += 1")
-                emit("    events.displacement_bytes += {}".format(op[1]))
-            else:
-                defer.scalar("branch_displacements", 1)
-                defer.scalar("displacement_bytes", op[1])
-        else:  # OP_DECODE_TICK
-            emit("    if ebox._last_instruction_redirected:")
-            emit_incs(op[2], "        ")
-            emit("        ebox.cycle_count += {}".format(op[1]))
-            emit("        _w = ib._fill_wait")
-            emit("        if _w == 0:")
-            emit("            if ib.tb_miss_pending or len(buf) >= 8:")
-            emit("                ib._now += {}".format(op[1]))
-            emit("            else:")
-            emit("                ib_run({})".format(op[1]))
-            emit("        elif _w > {}:".format(op[1]))
-            emit("            ib._fill_wait = _w - {}".format(op[1]))
-            emit("            ib._now += {}".format(op[1]))
-            emit("        else:")
-            emit("            ib_run({})".format(op[1]))
-    return operand_vars
-
-
-def _codegen(record):
-    """Generate a specialized replay function for ``record``.
-
-    Emits straight-line Python with every compile-time constant inlined
-    (cycle charges, histogram buckets, byte counts, event keys) and
-    non-literal objects (routines, the opcode, the handler, enum
-    members) bound as exec-namespace globals.  The emitted body is a
-    statement-for-statement transcription of :func:`execute_record`'s
-    op loop with the dispatch unrolled away — that function remains the
-    readable oracle; tests hold the two executors equivalent.
-    """
-    consts = []
-    names = []
-
-    def cref(obj):
-        for name, seen in zip(names, consts):
-            if seen is obj:
-                return name
-        name = "_k{}".format(len(consts))
-        names.append(name)
-        consts.append(obj)
-        return name
-
-    lines = []
-    emit = lines.append
-
-    uses_counts, uses_regs, uses_data_read, _ = _op_uses(record.ops)
-
-    emit("def _replay(ebox, start_va):")
-    emit("    ib = ebox.ib")
-    emit("    buf = ib._bytes")
-    emit("    if not buf.startswith({!r}):".format(record.raw))
-    emit(
-        "        if not {}(ebox, ib, buf, {!r}):".format(
-            cref(_image_ready), record.raw
-        )
-    )
-    emit("            return False")
-    emit("    events = ebox.events")
-    emit("    board = ebox._board")
-    emit("    collecting = board is not None and board._collecting")
-    if uses_counts:
-        emit("    counts = board._counts if collecting else None")
-    emit("    ib_run = ebox._ib_run")
-    emit("    regs = ebox.regs")
-    if uses_regs:
-        emit("    regs_read = regs.read")
-    if uses_data_read:
-        emit("    data_read = ebox.data_read")
-    emit("    ib_stats = ib.stats")
-    emit("    redirects_before = ib_stats.redirects")
-    emit("    ebox._instruction_start_cycle = ebox.cycle_count")
-    emit("    ebox.current_opcode = {}".format(cref(record.opcode)))
-    emit("    ebox._exec_routine = {}".format(cref(record.exec_routine)))
-    emit("    ebox._exec_a_used = False")
-    emit("    ebox._last_source_routine = None")
-    emit("    ebox.branch_displacement = None")
-
-    operand_vars = _emit_ops(emit, cref, record)
-
-    emit("    ebox._merge_pending = {}".format(record.merge_pending))
-    if record.last_source_routine is not None:
-        emit(
-            "    ebox._last_source_routine = {}".format(
-                cref(record.last_source_routine)
-            )
-        )
-    emit("    events.instruction_bytes += {}".format(record.length))
-    emit("    events.opcode_counts[{!r}] += 1".format(record.mnemonic))
-    emit(
-        "    {}(ebox, {}, [{}])".format(
-            cref(record.handler), cref(record.opcode), ", ".join(operand_vars)
-        )
-    )
-    emit("    ebox.events.instructions += 1")
-    emit("    regs.pc = ib._decode_va")
-    emit("    ebox._merge_pending = False")
-    emit(
-        "    ebox._last_instruction_redirected ="
-        " ib_stats.redirects != redirects_before"
-    )
-    emit("    return True")
-
-    namespace = dict(zip(names, consts))
-    exec(
-        compile("\n".join(lines), "<replay:{}>".format(record.mnemonic), "exec"),
-        namespace,
-    )
-    return namespace["_replay"]
-
-
-# ---------------------------------------------------------------------------
-# layer 3b: chained superblocks
-# ---------------------------------------------------------------------------
-#
-# When the same window of records repeatedly executes back-to-back with
-# no fallback between them, the per-instruction dispatch (kernel loop,
-# device poll, pending-interrupt check, record-cache probe, function
-# call) is pure overhead: one generated function can replay the whole
-# window.  Guard structure keeps every exit an exact interpreter state:
-#
-# * each segment re-checks its byte image against the IB (or the
-#   side-effect-free lookahead) *before mutating anything*, so segments
-#   are atomic — after k completed segments the machine is bit-identical
-#   to k interpreted instructions, and a mid-block exit simply returns k
-#   (self-modifying code, aliasing and IB under-runs all land here);
-# * each boundary checks the hoisted interrupt-pending list and the
-#   caller's cycle limit (the device board's next fire time), so
-#   interrupt delivery and device polls happen at the same instruction
-#   boundary, at the same cycle, as the stepped loop;
-# * SYSTEM-group records never chain (they can halt, swap the event
-#   sink, or change IPL — the state the block prologue hoists).
-#
-# Page faults, TB misses, and IB stalls are serviced *inside* segments
-# by the same data_read/data_write/_take_bytes code the interpreter
-# uses, so they need no guards.  The one divergence: if the run is
-# aborted by an unrecoverable fault mid-segment (HaltExecution), the
-# block's deferred event commits are lost — acceptable, because an
-# aborted run's state is never part of a measured result.
-
-#: Hard cap on a window's length; hot paths longer than this split
-#: into consecutive blocks.
-_SB_MAX_LEN = 8
-
-#: Minimum window length worth a block (a single instruction already
-#: has its per-record function).
-_SB_MIN_LEN = 2
-
-#: Times a specific window must recur before its block is generated.
-#: Superblock ``compile()`` costs a few ms — an order of magnitude more
-#: than a record — so the bar matches the record codegen threshold:
-#: short default runs (tests, cold benchmarks) never pay it, while any
-#: real experiment's warmup crosses it thousands of times over.  The
-#: tier-threshold env override collapses this to first sight.
-_SB_MIN_SIGHTINGS = 16
-
-#: Cap on generated superblocks per layout.
-_SB_CACHE_CAP = 4096
-
-#: Cap on the candidate-window sightings table; cleared wholesale when
-#: exceeded (counting restarts, installed blocks are unaffected).
-_SB_CANDIDATE_CAP = 4096
-
-#: Per-layout formation state, shared by every machine on the layout:
-#: candidate-window sighting counts and the generated blocks, both
-#: keyed by ``(head_va, window records)`` so a pool of machines running
-#: the same program shares one generation cost per window.
-_SB_STATE = WeakKeyDictionary()
-
-
-def superblock_state(layout):
-    state = _SB_STATE.get(layout.store)
-    if state is None:
-        state = {"candidates": {}, "blocks": {}, "installed": 0}
-        _SB_STATE[layout.store] = state
-    return state
-
-
-def clear_record_caches() -> None:
-    """Drop every layout's record and superblock caches.
-
-    Benchmarks call this between arms so each run re-resolves, re-tiers
-    and re-forms from cold under the current environment knobs
-    (machines built afterwards start with empty per-machine caches; the
-    layout-wide byte-keyed caches are what persists across machines).
-    """
-    _LAYOUT_RECORDS.clear()
-    _SB_STATE.clear()
-
-
-class Superblock:
-    """A chained window of records replayed by one generated function.
-
-    ``run(ebox, limit)`` returns the number of instructions retired:
-    the full window, a prefix (boundary deopt — pending interrupt,
-    cycle limit reached, byte-guard mismatch), or 0 when the first
-    segment's own guard declines (state untouched, the per-record path
-    handles the instruction).
-    """
-
-    __slots__ = ("records", "length", "run")
-
-
-def chain_note(ebox, va, record):
-    """Account one compiled-record execution toward superblock formation.
-
-    Called by the EBOX on every per-record fast-path hit; consecutive
-    chainable hits grow the chain, and the length cap closes it into a
-    window.  Windows are *traces*: they run straight through branches,
-    recording the path actually executed — replay is position-blind
-    (every segment re-reads the live decode VA and re-checks its byte
-    image before touching anything), so when a later execution branches
-    the other way the mismatching segment's guard simply ends the run
-    there.  Records are keyed by byte image and shared across every
-    code site with the same bytes, so windows are keyed by their head
-    *address* — a block only ever dispatches at the site whose
-    successor path it recorded (first window wins per head VA).  A
-    window sighted ``_SB_MIN_SIGHTINGS`` times is generated and
-    installed in the machine's VA-keyed block cache.
-    """
-    chain = ebox._sb_chain
-    if not record.chainable:
-        # The chain so far still happened back-to-back; a short window
-        # ending here is how code bracketed by SYSTEM instructions
-        # (kernel paths full of MTPR/REI) earns blocks at all.
-        if chain:
-            _close_window(ebox, chain)
-        return
-    chain.append((va, record))
-    if len(chain) >= _SB_MAX_LEN:
-        _close_window(ebox, chain)
-
-
-def chain_break(ebox):
-    """A non-replay event ended the consecutive run: close what's there.
-
-    Called where the EBOX abandons the chain (interpreter fallback,
-    interrupt delivery) — the instructions already chained were still
-    consecutive, so a long-enough prefix becomes a window rather than
-    being thrown away.
-    """
-    chain = ebox._sb_chain
-    if chain:
-        _close_window(ebox, chain)
-
-
-def _close_window(ebox, chain):
-    """Turn the current chain into a (possibly cached) superblock."""
-    if len(chain) < _SB_MIN_LEN:
-        chain.clear()
-        return
-    head_va = chain[0][0]
-    window = tuple(entry[1] for entry in chain)
-    chain.clear()
-    cache = ebox._sb_cache
-    if head_va in cache:
-        return
-    state = ebox._sb_state
-    # Keyed by head VA plus the *first* record only: the head bytes
-    # pin the program, while the tail of a trace varies with where
-    # earlier dispatches happened to cut the chain — keying on the
-    # full window would make every machine re-sight and re-generate
-    # its own variant of the same hot path.  Whichever variant is
-    # generated first serves them all; a divergent tail just ends a
-    # run early at its byte guard.
-    key = (head_va, window[0])
-    blocks = state["blocks"]
-    sb = blocks.get(key)
-    if sb is not None:
-        cache[head_va] = sb
-        return
-    if state["installed"] >= _SB_CACHE_CAP:
-        return
-    candidates = state["candidates"]
-    count = candidates.get(key, 0) + 1
-    # The tier-threshold override lowers the bar to two sightings (the
-    # steady-state benchmarks want formation done within warmup) but
-    # not to one: first-wins installation means an unfiltered one-shot
-    # variant would squat its head VA, and measured deopt rates
-    # quadruple when it does.
-    min_sightings = 2 if codegen_threshold() <= 1 else _SB_MIN_SIGHTINGS
-    if count < min_sightings:
-        if len(candidates) >= _SB_CANDIDATE_CAP:
-            candidates.clear()
-        candidates[key] = count
-        return
-    candidates.pop(key, None)
-    sb = compile_superblock(window)
-    blocks[key] = sb
-    cache[head_va] = sb
-    state["installed"] += 1
-    ebox.compile_stats.superblocks_formed += 1
-    channel = ebox._compile_events
-    if channel is not None:
-        channel.emit(
-            ebox.cycle_count,
-            _KIND_SUPERBLOCK_FORMED,
-            "+".join(record.mnemonic for record in window),
-            len(window),
-        )
-
-
-def compile_superblock(records):
-    """Generate one dispatch function for a window of chainable records.
-
-    The emitted body concatenates each record's replay statements
-    (:func:`_emit_ops`, the same emitter the per-record generator
-    uses), with the per-record prologue hoisted to block entry and
-    every statically-known event increment deferred to one commit.
-    Early exits commit the completed segments' prefix table, so any
-    return value ``k`` leaves the machine byte-identical to ``k``
-    interpreted instructions.
-    """
-    records = tuple(records)
-    consts = []
-    names = []
-
-    def cref(obj):
-        for name, seen in zip(names, consts):
-            if seen is obj:
-                return name
-        name = "_k{}".format(len(consts))
-        names.append(name)
-        consts.append(obj)
-        return name
-
-    lines = []
-    emit = lines.append
-
-    uses_regs = False
-    uses_data_read = False
-    seg_start_va = []
-    for record in records:
-        _, regs_u, dread_u, sva_u = _op_uses(record.ops)
-        uses_regs = uses_regs or regs_u
-        uses_data_read = uses_data_read or dread_u
-        seg_start_va.append(sva_u)
-
-    emit("def _sbrun(ebox, limit):")
-    emit("    ib = ebox.ib")
-    emit("    buf = ib._bytes")
-    emit("    events = ebox.events")
-    emit("    board = ebox._board")
-    emit("    collecting = board is not None and board._collecting")
-    emit("    counts = board._counts if collecting else None")
-    emit("    ib_run = ebox._ib_run")
-    emit("    regs = ebox.regs")
-    if uses_regs:
-        emit("    regs_read = regs.read")
-    if uses_data_read:
-        emit("    data_read = ebox.data_read")
-    emit("    ib_stats = ib.stats")
-    emit("    machine = ebox.machine")
-    # The pending list's identity is stable (post appends, acknowledge
-    # removes in place), so one hoist covers every boundary check.
-    emit("    pending = machine.interrupts._pending if machine is not None else ()")
-
-    defer = _Deferred()
-    commit = cref(_commit_prefix)
-    for seg, record in enumerate(records):
-        emit("    # -- segment {}: {}".format(seg, record.mnemonic))
-        if seg:
-            prefix = cref(defer.snapshot())
-            emit("    if pending or ebox.cycle_count >= limit:")
-            emit("        {}(events, counts, {})".format(commit, prefix))
-            emit("        return {}".format(seg))
-        emit("    if not buf.startswith({!r}):".format(record.raw))
-        emit(
-            "        if not {}(ebox, ib, buf, {!r}):".format(
-                cref(_image_ready), record.raw
-            )
-        )
-        if seg:
-            emit("            {}(events, counts, {})".format(commit, prefix))
-        emit("            return {}".format(seg))
-        emit("    redirects_before = ib_stats.redirects")
-        emit("    ebox._instruction_start_cycle = ebox.cycle_count")
-        emit("    ebox.current_opcode = {}".format(cref(record.opcode)))
-        emit("    ebox._exec_routine = {}".format(cref(record.exec_routine)))
-        emit("    ebox._exec_a_used = False")
-        emit("    ebox._last_source_routine = None")
-        emit("    ebox.branch_displacement = None")
-        if seg_start_va[seg]:
-            emit("    start_va = ib._decode_va")
-        operand_vars = _emit_ops(
-            emit, cref, record, ovar_prefix="_o{}_".format(seg), defer=defer
-        )
-        emit("    ebox._merge_pending = {}".format(record.merge_pending))
-        if record.last_source_routine is not None:
-            emit(
-                "    ebox._last_source_routine = {}".format(
-                    cref(record.last_source_routine)
-                )
-            )
-        defer.scalar("instruction_bytes", record.length)
-        defer.dict_count("opcode_counts", record.mnemonic)
-        emit(
-            "    {}(ebox, {}, [{}])".format(
-                cref(record.handler), cref(record.opcode), ", ".join(operand_vars)
-            )
-        )
-        defer.scalar("instructions", 1)
-        emit("    regs.pc = ib._decode_va")
-        emit("    ebox._merge_pending = False")
-        emit(
-            "    ebox._last_instruction_redirected ="
-            " ib_stats.redirects != redirects_before"
-        )
-
-    # Full-window commit, inlined (every completed dispatch runs it).
-    emit("    # -- block commit")
-    bucket_entries = []
-    for kind, attr, key, total in defer.snapshot():
-        if kind == "s":
-            emit("    events.{} += {}".format(attr, total))
-        elif kind == "d":
-            emit("    events.{}[{!r}] += {}".format(attr, key, total))
-        else:
-            bucket_entries.append((key, total))
-    if bucket_entries:
-        emit("    if collecting:")
-        for bucket, total in bucket_entries:
-            emit("        counts[{}] += {}".format(bucket, total))
-    emit("    return {}".format(len(records)))
-
-    namespace = dict(zip(names, consts))
-    exec(
-        compile(
-            "\n".join(lines),
-            "<superblock:{}>".format("+".join(r.mnemonic for r in records)),
-            "exec",
-        ),
-        namespace,
-    )
-    sb = Superblock()
-    sb.records = records
-    sb.length = len(records)
-    sb.run = namespace["_sbrun"]
-    return sb
-
-
-# ---------------------------------------------------------------------------
-# layer 4: the replay engine
+# layer 2: replay
 # ---------------------------------------------------------------------------
 
 

@@ -221,8 +221,8 @@ def run_workload(
     ``metrics`` (a :class:`repro.obs.metrics.MetricsRegistry`) collects
     wall-clock self-profiling: per-phase timings and simulation speed.
     ``compile_events`` (a :class:`repro.obs.channel.EventChannel`)
-    records compile-tier lifecycle events; unlike ``tracer`` it leaves
-    the compiled hot path enabled.
+    records replay lifecycle events (records formed, interpreter
+    fallbacks); unlike ``tracer`` it leaves replay enabled.
     """
     import time as _time
 

@@ -13,8 +13,8 @@ misses per instruction).
 The tag store is two dense flat tables (``_tags``/``_lru``, one slot per
 line, a set's ways adjacent) instead of per-line objects: every simulated
 reference lands here, and flat indexing is what lets the memory
-subsystem's fused fast paths and the replay compiler's superblocks charge
-a reference without walking an object graph.  Plain lists beat the
+subsystem's fused fast paths charge a reference without walking an
+object graph.  Plain lists beat the
 ``array`` module for this access pattern (array reads re-box every tag
 into a fresh int; lists hand back the stored object).
 """

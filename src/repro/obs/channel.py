@@ -1,25 +1,26 @@
-"""A cheap structured event channel for the compiled hot path.
+"""A cheap structured event channel for the replay mode.
 
-The :class:`~repro.obs.trace.Tracer` narrates every microcycle, which
-is exactly why attaching one forces the EBOX back onto the interpreted
-path — the compiled replay (repro.core.compile) charges whole
-instructions at a time and has nothing to say per cycle.  That left the
-JIT observability-dark: the faster the simulator got, the less we could
-see of *why*.
+The simulator has two execution modes: the interpreted EBOX and replay
+programs (repro.core.compile).  The :class:`~repro.obs.trace.Tracer`
+narrates every microcycle, which is exactly why attaching one forces
+the EBOX back onto the interpreted path — replay charges whole
+instructions at a time and has nothing to say per cycle.  That left
+replay observability-dark: the faster the simulator got, the less we
+could see of *why*.
 
-:class:`EventChannel` is the narrow channel that works *with* the
-compiled path enabled.  It records only compile-tier lifecycle events —
-a record compiled, a record promoted to generated code, a superblock
-formed, a deopt and its reason, an interpreter fallback and its cause —
-each a single tuple appended to a bounded ring.  Emission sites sit on
-the compiler's own slow paths (resolution, promotion, window close,
-deopt), never inside a generated body, so an attached channel leaves
-the replayed instruction stream bit-identical (tests assert this).
+:class:`EventChannel` is the narrow channel that works *with* replay
+enabled.  It records only two lifecycle events — a record compiled,
+and an interpreter fallback with its cause — each a single tuple
+appended to a bounded ring.  Emission sites sit on the EBOX's own
+slow paths (record resolution, fallback), never inside a replay, so
+an attached channel leaves the replayed instruction stream
+bit-identical (tests assert this).
 
 Events normalize into the same record shape the trace query engine
 consumes (:meth:`EventChannel.to_trace_events`), on a synthetic "JIT"
-track, so ``repro query`` can answer "why did this superblock deopt"
-over either a live channel or a store that archived one.
+track, so ``repro query`` can answer "why did this instruction fall
+back to the interpreter" over either a live channel or a store that
+archived one.
 """
 
 from __future__ import annotations
@@ -33,27 +34,18 @@ JIT_TRACK = "JIT"
 
 #: Event kinds, in lifecycle order.
 KIND_RECORD_FORMED = "record formed"
-KIND_TIER_UP = "tier up"
-KIND_SUPERBLOCK_FORMED = "superblock formed"
-KIND_DEOPT = "deopt"
 KIND_FALLBACK = "fallback"
 
-KINDS = (
-    KIND_RECORD_FORMED,
-    KIND_TIER_UP,
-    KIND_SUPERBLOCK_FORMED,
-    KIND_DEOPT,
-    KIND_FALLBACK,
-)
+KINDS = (KIND_RECORD_FORMED, KIND_FALLBACK)
 
 
 class EventChannel:
     """A bounded ring of ``(cycle, kind, label, value)`` tuples.
 
     ``kind`` is one of :data:`KINDS`; ``label`` is the one categorical
-    annotation worth keeping (a mnemonic, a deopt reason, a fallback
-    cause); ``value`` is a small integer payload (instructions retired
-    before a deopt, a record's byte length).  Strictly passive and
+    annotation worth keeping (a mnemonic or a fallback cause);
+    ``value`` is a small integer payload (a record's byte length, the
+    fallback's decode VA).  Strictly passive and
     bounded, like the tracer; unlike the tracer, attaching one does not
     change which execution path runs.
     """
@@ -97,7 +89,7 @@ class EventChannel:
         return Counter(kind for _cycle, kind, _label, _value in self._events)
 
     def label_counts(self, kind: str) -> Counter:
-        """Label histogram for one kind (deopt reasons, fallback causes)."""
+        """Label histogram for one kind (mnemonics, fallback causes)."""
         return Counter(
             label
             for _cycle, event_kind, label, _value in self._events

@@ -642,7 +642,7 @@ def parse_query(text: str) -> QueryPlan:
         count events where track=VMS and name=page fault
         cycles where name=read stall group by routine
         histogram cycles where opcode=MOVL
-        count events where track=JIT and name=deopt group by reason
+        count events where track=JIT and name=fallback group by reason
     """
     source = " ".join(text.split())
     if not source:

@@ -67,7 +67,57 @@ def spec_to_payload(spec: RunSpec) -> Dict:
     }
 
 
+#: Cap on either instruction budget a payload may ask for — about ten
+#: minutes of simulation on one core.  Longer runs belong to the CLI or
+#: the engine, not to a shared service.
+MAX_BUDGET_INSTRUCTIONS = 10_000_000
+
+
+def _int_field(payload: Dict, name: str, default: int, minimum: int) -> int:
+    value = payload.get(name, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ApiError("{!r} must be an integer, got {!r}".format(name, value))
+    if not minimum <= value <= MAX_BUDGET_INSTRUCTIONS:
+        raise ApiError(
+            "{!r} must be between {} and {}, got {}".format(
+                name, minimum, MAX_BUDGET_INSTRUCTIONS, value
+            )
+        )
+    return value
+
+
+def _config_from_payload(config) -> Optional[MachineConfig]:
+    if config is None:
+        return None
+    if not isinstance(config, dict):
+        raise ApiError("config payload must be an object, got {!r}".format(config))
+    bad = set(config) - set(MachineConfig.__dataclass_fields__)
+    if bad:
+        raise ApiError(
+            "config payload has unknown fields: {}".format(", ".join(sorted(bad)))
+        )
+    for name, value in config.items():
+        if value is None:
+            continue
+        if name == "decode_overlap":
+            ok = isinstance(value, bool)
+        else:
+            ok = isinstance(value, int) and not isinstance(value, bool) and value >= 0
+        if not ok:
+            raise ApiError("config field {!r} has bad value {!r}".format(name, value))
+    return MachineConfig(**config)
+
+
 def spec_from_payload(payload: Dict) -> RunSpec:
+    """A :class:`RunSpec` from its JSON payload, checked field by field.
+
+    Every malformed payload raises :class:`ApiError` (HTTP 400) before
+    any simulation time is spent: an unknown workload, a budget that is
+    not an ``int`` or lies outside ``[1, MAX_BUDGET_INSTRUCTIONS]``
+    (warmup may be 0), and mistyped optional fields.
+    """
+    from repro.workloads import PROFILES
+
     if not isinstance(payload, dict):
         raise ApiError("spec payload must be an object, got {!r}".format(payload))
     if "workload" not in payload:
@@ -80,22 +130,36 @@ def spec_from_payload(payload: Dict) -> RunSpec:
         raise ApiError(
             "spec payload has unknown fields: {}".format(", ".join(sorted(unknown)))
         )
-    config = payload.get("config")
-    if config is not None:
-        bad = set(config) - set(MachineConfig.__dataclass_fields__)
-        if bad:
-            raise ApiError(
-                "config payload has unknown fields: {}".format(", ".join(sorted(bad)))
+    workload = payload["workload"]
+    if not isinstance(workload, str) or workload not in PROFILES:
+        raise ApiError(
+            "unknown workload {!r}; known: {}".format(
+                workload, ", ".join(sorted(PROFILES))
             )
-        config = MachineConfig(**config)
+        )
+    process_count = payload.get("process_count")
+    if process_count is not None and (
+        isinstance(process_count, bool)
+        or not isinstance(process_count, int)
+        or process_count < 1
+    ):
+        raise ApiError(
+            "'process_count' must be a positive integer, got {!r}".format(process_count)
+        )
+    seed_offset = payload.get("seed_offset", 0)
+    if isinstance(seed_offset, bool) or not isinstance(seed_offset, int):
+        raise ApiError("'seed_offset' must be an integer, got {!r}".format(seed_offset))
+    label = payload.get("label")
+    if label is not None and not isinstance(label, str):
+        raise ApiError("'label' must be a string, got {!r}".format(label))
     return RunSpec(
-        workload=payload["workload"],
-        instructions=payload.get("instructions", 30_000),
-        warmup_instructions=payload.get("warmup_instructions", 3_000),
-        process_count=payload.get("process_count"),
-        seed_offset=payload.get("seed_offset", 0),
-        config=config,
-        label=payload.get("label"),
+        workload=workload,
+        instructions=_int_field(payload, "instructions", 30_000, 1),
+        warmup_instructions=_int_field(payload, "warmup_instructions", 3_000, 0),
+        process_count=process_count,
+        seed_offset=seed_offset,
+        config=_config_from_payload(payload.get("config")),
+        label=label,
     )
 
 

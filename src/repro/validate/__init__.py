@@ -2,7 +2,7 @@
 
 ``repro validate`` and ``tests/validate/`` run every
 :class:`~repro.validate.probes.Probe` through the real engine/monitor
-path in all three compile modes and diff the counters against
+path in both compile modes and diff the counters against
 expectations known *by construction* — see :mod:`repro.validate.probes`
 for the model and :mod:`repro.validate.runner` for the execution and
 blame localization.

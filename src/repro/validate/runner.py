@@ -3,12 +3,11 @@
 The :class:`RefutationRunner` runs each :class:`~repro.validate.probes.Probe`
 through the normal machine/monitor path — the same
 :class:`~repro.core.monitor.UPCMonitor` strobe, the same
-:func:`~repro.core.reduction.reduce_histogram` — in every compile mode
-(interpreted, compiled, ``REPRO_COMPILE_TIER_THRESHOLD=1``), checks the
-probe's expectations against the first arm, asserts the other arms are
-bit-identical to it, and re-runs once traced so
-:class:`repro.obs.query.TraceQuery` aggregates can be diffed against
-the counters too.
+:func:`~repro.core.reduction.reduce_histogram` — in both compile
+modes (interpreted and replay), checks the probe's expectations
+against the first arm, asserts the other arm is bit-identical to it,
+and re-runs once traced so :class:`repro.obs.query.TraceQuery`
+aggregates can be diffed against the counters too.
 
 On a violated expectation the failure carries blame: the expectation's
 own micro-routine when it names one, plus the
@@ -30,13 +29,12 @@ from repro.validate.probes import Expectation, Probe, build_probes
 #: runs under whatever the caller's environment already says — the CI
 #: legs use it to validate under an externally pinned mode.
 MODES: Dict[str, Dict[str, Optional[str]]] = {
-    "interpreted": {"REPRO_NO_COMPILE": "1", "REPRO_COMPILE_TIER_THRESHOLD": None},
-    "compiled": {"REPRO_NO_COMPILE": None, "REPRO_COMPILE_TIER_THRESHOLD": None},
-    "tier1": {"REPRO_NO_COMPILE": None, "REPRO_COMPILE_TIER_THRESHOLD": "1"},
+    "interpreted": {"REPRO_NO_COMPILE": "1"},
+    "compiled": {"REPRO_NO_COMPILE": None},
     "current": {},
 }
 
-ALL_MODES = ("interpreted", "compiled", "tier1")
+ALL_MODES = ("interpreted", "compiled")
 
 
 class ValidationError(Exception):
@@ -325,7 +323,7 @@ class RefutationRunner:
                 )
             )
 
-        # The three modes are contractually bit-identical; checking the
+        # The modes are contractually bit-identical; checking the
         # anchor and pinning the other arms to it checks everything.
         anchor_signature = anchor.signature()
         for run in runs[1:]:

@@ -610,15 +610,11 @@ class VMSKernel:
             )
 
     def run(self, max_instructions: int = 1_000_000, max_cycles: Optional[int] = None) -> int:
-        """The main loop: poll devices between instructions, run the CPU.
+        """The main loop: poll devices between instructions, step the CPU.
 
-        Dispatches in superblock units: the board's next fire time (and
-        the cycle budget) become the block's cycle limit, so a block
-        deopts at the first instruction boundary at or past a device
-        event — the same boundary, at the same cycle, where this loop's
-        poll would have fired it when stepping one instruction at a
-        time.  A stepped interpreter run retires instructions at
-        identical cycles; only the dispatch granularity differs.
+        One ``step()`` per turn in both execution modes (interpreted and
+        replay), so device events fire at the same instruction boundary,
+        at the same cycle, whichever mode runs.
         """
         executed = 0
         ebox = self.ebox
@@ -627,13 +623,9 @@ class VMSKernel:
             if max_cycles is not None and ebox.cycle_count >= max_cycles:
                 break
             devices.poll(ebox.cycle_count)
-            limit = devices._next_fire
-            if max_cycles is not None and max_cycles < limit:
-                limit = max_cycles
-            n = ebox.step_block(max_instructions - executed, limit)
-            if not n:
+            if not ebox.step():
                 break
-            executed += n
+            executed += 1
         return executed
 
     @property

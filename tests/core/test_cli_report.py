@@ -125,3 +125,43 @@ class TestCLI:
     def test_run_requires_workload(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run"])
+
+
+class TestCLIBoundary:
+    """Bad CLI input fails at parse time: exit 2, one error line, no
+    traceback and no simulation."""
+
+    def _parse_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as caught:
+            main(argv)
+        assert caught.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1, err
+        return errors[0]
+
+    def test_unknown_workload_is_one_line_error(self, capsys):
+        line = self._parse_error(["run", "nosuch"], capsys)
+        assert "unknown workload 'nosuch'" in line
+        assert "educational" in line
+
+    @pytest.mark.parametrize("value", ["-5", "0", "ten", "1.5"])
+    def test_non_positive_instructions_exit_2(self, capsys, value):
+        line = self._parse_error(
+            ["run", "educational", "--instructions", value], capsys
+        )
+        assert "--instructions" in line
+
+    def test_negative_warmup_exits_2(self, capsys):
+        line = self._parse_error(["run", "educational", "--warmup", "-1"], capsys)
+        assert "--warmup" in line
+
+    def test_other_subcommands_share_the_checks(self, capsys):
+        self._parse_error(["composite", "--instructions", "-5"], capsys)
+        self._parse_error(["stats", "nosuch"], capsys)
+        self._parse_error(["submit", "educational", "nosuch"], capsys)
+
+    def test_zero_warmup_is_accepted(self):
+        args = build_parser().parse_args(["run", "educational", "--warmup", "0"])
+        assert args.warmup == 0 and args.workload == "educational"

@@ -27,14 +27,6 @@ def encode(*instrs):
     return asm.assemble()
 
 
-@pytest.fixture(autouse=True)
-def _default_tier(monkeypatch):
-    # The CI tier leg exports REPRO_COMPILE_TIER_THRESHOLD=1, which
-    # also collapses the sighting gates these tests pin down; they
-    # assert the default economics, so they own the knob.
-    monkeypatch.delenv(replay.TIER_THRESHOLD_ENV, raising=False)
-
-
 @pytest.fixture
 def layout():
     # A fresh layout gets fresh (empty) module-level record caches,

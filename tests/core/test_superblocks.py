@@ -1,331 +1,121 @@
-"""Chained-superblock formation, guards, and mid-block deopt.
+"""Hot loops, stop points and tracers on the replay path.
 
-The superblock layer (:mod:`repro.core.compile`) links consecutive
-compiled-record executions into one generated function replaying a
-whole window of instructions per dispatch.  Correctness rests on two
-properties these tests pin down:
+The differential file holds whole workloads to bit-identity.  This one
+looks closer at the loop shapes where a replayed instruction stream
+could drift from the interpreted walk:
 
-* **segment atomicity** — every segment re-checks its byte image
-  against the live machine before touching anything, so a block that
-  retires ``k`` of its ``n`` instructions leaves state byte-identical
-  to ``k`` interpreted steps (deopt is a return value, not a rollback);
-* **boundary guards** — pending interrupts and the cycle limit are
-  checked between segments, so delivery and device timing happen at
-  the same instruction boundary as the stepped loop.
-
-Formation economics (sighting thresholds, the tier-threshold override
-collapsing them), tracer passivity, and the ``sim.compile.*``
-superblock metrics round-trip are covered alongside.
+* a hot loop compiles each of its instructions once and then replays
+  them on every later iteration;
+* a tracer turns replay off on a bare machine, and nothing the loop
+  computes changes;
+* every instruction boundary around the loop's final fall-through, and
+  any instruction cap on a random program, stops both modes in the same
+  state.
 """
-
-import os
-from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.asm import Assembler
 from repro.core import compile as replay
-from repro.core.experiment import (
-    MachineStats,
-    prepare_workload,
-    result_from_machine,
-)
-from repro.core.histogram_io import result_to_json
 from repro.core.monitor import UPCMonitor
 from repro.cpu import VAX780
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
+from tests.core.test_compile_differential import (
+    ORIGIN,
+    SCRATCH,
+    _assemble,
+    _final_state,
+    countdown_program,
+    interpreter,
+    machine_state,
+    op_strategy,
+    run_program,
+)
 
-ORIGIN = 0x200
+ITERATIONS = 40
+#: instructions retired before the HALT: the set-up pair and the loop
+LOOP_INSTRUCTIONS = 2 + 5 * ITERATIONS
 
 
 @pytest.fixture(autouse=True)
-def _own_the_gates(monkeypatch):
-    # These tests control both env knobs themselves: the CI interpreted
-    # leg exports REPRO_NO_COMPILE, the tier leg exports the threshold.
-    # Formation state is layout-wide, so start each test cold.
+def _own_the_gate(monkeypatch):
+    # These tests pick the mode themselves; a globally exported
+    # REPRO_NO_COMPILE would collapse both arms onto the interpreter.
+    # Record caches are layout-wide, so start each test cold.
     monkeypatch.delenv(replay.NO_COMPILE_ENV, raising=False)
-    monkeypatch.setenv(replay.TIER_THRESHOLD_ENV, "1")
     replay.clear_record_caches()
     yield
     replay.clear_record_caches()
 
 
-@contextmanager
-def interpreter():
-    """Force the interpreted path for machines built inside the block."""
-    prior = os.environ.get(replay.NO_COMPILE_ENV)
-    os.environ[replay.NO_COMPILE_ENV] = "1"
-    try:
-        yield
-    finally:
-        if prior is None:
-            os.environ.pop(replay.NO_COMPILE_ENV, None)
-        else:
-            os.environ[replay.NO_COMPILE_ENV] = prior
-
-
-def countdown_program(iterations):
-    """A hot four-instruction loop ending in a HALT.
-
-    The loop body plus its backward branch is the canonical superblock
-    shape.  Five instructions per iteration is deliberately coprime to
-    the window cap of eight: windows straddle iteration boundaries, so
-    the final iteration's fall-through of ``SOBGTR`` lands mid-window
-    and the trace that recorded the taken path must deopt at a byte
-    guard.  Returns ``(image, budget)``.
-    """
-    asm = Assembler(origin=ORIGIN)
-    asm.instr("MOVL", "I^#%d" % iterations, "R1")
-    asm.instr("CLRL", "R0")
-    asm.label("loop")
-    asm.instr("ADDL2", "#3", "R0")
-    asm.instr("XORL2", "R1", "R0")
-    asm.instr("INCL", "R0")
-    asm.instr("DECL", "R2")
-    asm.instr("SOBGTR", "R1", "loop")
-    asm.instr("HALT")
-    # Budget overshoots the program: the block dispatcher skips windows
-    # longer than the remaining budget, so an exact budget would route
-    # the interesting final iterations through the per-record path.
-    return asm.assemble(), 2 + 5 * iterations + 50
-
-
-def machine_state(machine):
-    return {
-        "regs": [machine.ebox.regs.read(i) for i in range(16)],
-        "psl": machine.ebox.psl.pack(),
-        "cycles": machine.ebox.cycle_count,
-        "halted": machine.ebox.halted,
-    }
-
-
-def run_program(program, budget, max_cycles=None):
-    machine = VAX780(monitor=UPCMonitor.build())
-    machine.load_program(program, ORIGIN)
-    executed = machine.run(max_instructions=budget, max_cycles=max_cycles)
-    return machine, executed
-
-
-def measured_run(profile, tracer=None, instructions=700, warmup=200):
-    kernel, monitor = prepare_workload(profile, tracer=tracer)
-    machine = kernel.machine
-    kernel.run(max_instructions=warmup)
-    baseline = MachineStats.from_machine(machine)
-    kernel.start_measurement()
-    kernel.run(max_instructions=instructions)
-    kernel.stop_measurement()
-    result = result_from_machine(
-        machine, monitor, name=profile, stats_baseline=baseline
-    )
-    return result, monitor.board, machine
-
-
 class TestFormation:
     def test_hot_loop_forms_and_dispatches_blocks(self):
-        program, budget = countdown_program(40)
-        machine, _ = run_program(program, budget)
+        program, budget = countdown_program(ITERATIONS)
+        machine, executed = run_program(program, budget)
         stats = machine.ebox.compile_stats
-        assert stats.records_compiled > 0
-        assert stats.superblocks_formed >= 1
-        assert stats.superblock_runs > 0
-        assert stats.superblock_instructions > 0
-        assert 0 < stats.superblock_mean_length <= replay._SB_MAX_LEN
-
-    def test_window_length_respects_the_cap(self, monkeypatch):
-        monkeypatch.setattr(replay, "_SB_MAX_LEN", 3)
-        program, budget = countdown_program(40)
-        machine, _ = run_program(program, budget)
-        ebox = machine.ebox
-        assert ebox.compile_stats.superblocks_formed >= 1
-        assert all(sb.length <= 3 for sb in ebox._sb_cache.values())
-
-    def test_default_thresholds_skip_short_runs(self, monkeypatch):
-        # Without the tier override a window must recur
-        # _SB_MIN_SIGHTINGS times; three iterations never get there.
-        monkeypatch.delenv(replay.TIER_THRESHOLD_ENV, raising=False)
-        program, budget = countdown_program(3)
-        machine, _ = run_program(program, budget)
-        assert machine.ebox.compile_stats.superblocks_formed == 0
-
-    def test_default_thresholds_promote_hot_windows(self, monkeypatch):
-        # Window heads rotate through the loop's five VAs (five-long
-        # iterations vs eight-long windows), so one head VA is sighted
-        # once per eight iterations — crossing the sighting bar needs
-        # 8 * _SB_MIN_SIGHTINGS iterations plus the record warmup.
-        monkeypatch.delenv(replay.TIER_THRESHOLD_ENV, raising=False)
-        program, budget = countdown_program(8 * replay._SB_MIN_SIGHTINGS + 30)
-        machine, _ = run_program(program, budget)
-        assert machine.ebox.compile_stats.superblocks_formed >= 1
+        # Only the five-instruction body is seen twice, so only it
+        # compiles; the set-up pair and the HALT run once, interpreted.
+        assert stats.records_compiled == 5
+        # The two-sightings gate opens on the second iteration; every
+        # loop instruction from there on replays.
+        assert stats.jit_hits == 5 * (ITERATIONS - 1)
+        # The HALT executes but does not count as retired.
+        assert stats.jit_hits + stats.jit_misses == executed + 1
+        assert stats.fast_cycles > stats.slow_cycles
 
     def test_tracer_suppresses_blocks_and_changes_nothing(self):
-        c_result, c_board, _ = measured_run("educational")
+        program, budget = countdown_program(ITERATIONS)
+        compiled, c_executed = run_program(program, budget)
         tracer = Tracer()
-        t_result, t_board, t_machine = measured_run("educational", tracer=tracer)
-        stats = t_machine.ebox.compile_stats
-        assert stats.superblocks_formed == 0
-        assert stats.superblock_runs == 0
-        assert result_to_json(c_result, c_board) == result_to_json(
-            t_result, t_board
-        )
+        traced = VAX780(monitor=UPCMonitor.build(), tracer=tracer)
+        traced.load_program(program, ORIGIN)
+        t_executed = traced.run(max_instructions=budget)
+        assert compiled.ebox.compile_stats.jit_hits > 0
+        assert not traced.ebox._compile_active
+        assert traced.ebox.compile_stats.jit_hits == 0
+        assert len(tracer) > 0
+        assert t_executed == c_executed
+        assert machine_state(traced) == machine_state(compiled)
 
 
 class TestGuardsAndDeopt:
     def test_branch_fallthrough_deopts_with_exact_state(self):
-        # The last SOBGTR falls through: the trace recorded the taken
-        # path, so its byte guard fails there and the block retires a
-        # prefix.  Final state must equal the interpreter's, bit for
-        # bit, and the deopt must have been counted.
-        program, budget = countdown_program(40)
-        compiled, c_executed = run_program(program, budget)
-        with interpreter():
-            interpreted, i_executed = run_program(program, budget)
-        stats = compiled.ebox.compile_stats
-        assert stats.superblock_runs > 0
-        assert stats.superblock_deopts >= 1
-        assert c_executed == i_executed
-        assert machine_state(compiled) == machine_state(interpreted)
-
-    def test_cycle_limit_stops_at_the_same_boundary(self):
-        # A cycle budget that lands mid-window must end the block run
-        # at the same instruction boundary as the stepped loop.
-        program, budget = countdown_program(60)
-        reference, _ = run_program(program, budget)
-        limit = reference.ebox.cycle_count // 2
-        compiled, c_executed = run_program(program, budget, max_cycles=limit)
-        with interpreter():
-            interpreted, i_executed = run_program(
-                program, budget, max_cycles=limit
-            )
-        assert compiled.ebox.compile_stats.superblock_runs > 0
-        assert c_executed == i_executed
-        assert machine_state(compiled) == machine_state(interpreted)
-
-    def test_interrupt_heavy_workload_stays_bit_identical(self):
-        # Device interrupts deliver at block boundaries; a profile with
-        # live terminal traffic must serialize identically either way.
-        c_result, c_board, c_machine = measured_run(
-            "timesharing_heavy", instructions=4000, warmup=500
-        )
-        with interpreter():
-            i_result, i_board, _ = measured_run(
-                "timesharing_heavy", instructions=4000, warmup=500
-            )
-        stats = c_machine.ebox.compile_stats
-        assert stats.superblock_runs > 0
-        assert c_result.events.interrupts_delivered > 0
-        assert result_to_json(c_result, c_board) == result_to_json(
-            i_result, i_board
-        )
-
-
-# ---------------------------------------------------------------------------
-# Randomized block splitting
-# ---------------------------------------------------------------------------
-
-SCRATCH = 0x3040
-
-SOURCES = ["#5", "#63", "R0", "R1", "(R6)", "(R6)+", "B^4(R6)", "(R6)[R3]"]
-DESTS = ["R0", "R1", "R2", "(R6)", "-(R6)", "W^8(R6)"]
-TWO_OPERAND = ["MOVL", "ADDL2", "SUBL2", "BISL2", "XORL2", "CMPL"]
-ONE_OPERAND = ["TSTL", "INCL", "DECL", "CLRL"]
-
-op_strategy = st.one_of(
-    st.tuples(
-        st.sampled_from(TWO_OPERAND),
-        st.sampled_from(SOURCES),
-        st.sampled_from(DESTS),
-    ),
-    st.tuples(st.sampled_from(ONE_OPERAND), st.sampled_from(DESTS)),
-)
-
-
-def _assemble_random(ops, repeats):
-    asm = Assembler(origin=ORIGIN)
-    asm.instr("MOVL", "I^#%d" % (SCRATCH + 64), "R6")
-    asm.instr("MOVL", "#1", "R3")
-    for _ in range(repeats):
-        for op in ops:
-            asm.instr(*op)
-    asm.instr("HALT")
-    return asm.assemble(), 2 + repeats * len(ops)
-
-
-def _random_state(machine):
-    state = machine_state(machine)
-    state["memory"] = [
-        machine.read_virtual(SCRATCH + offset, 4)
-        for offset in range(-64, 128, 4)
-    ]
-    return state
+        # The last SOBGTR falls through after its record has replayed
+        # the taken path many times.  Stopping at each instruction
+        # boundary around it must leave both modes in the same state.
+        program, _ = countdown_program(ITERATIONS)
+        for stop in range(LOOP_INSTRUCTIONS - 6, LOOP_INSTRUCTIONS + 2):
+            compiled, c_executed = run_program(program, stop)
+            with interpreter():
+                interpreted, i_executed = run_program(program, stop)
+            assert compiled.ebox.compile_stats.jit_hits > 0, stop
+            assert c_executed == i_executed == min(stop, LOOP_INSTRUCTIONS)
+            assert machine_state(compiled) == machine_state(interpreted), stop
 
 
 class TestRandomizedBlockSplitting:
+    @staticmethod
+    def _run(program, cap):
+        machine = VAX780(monitor=UPCMonitor.build())
+        machine.load_program(program, ORIGIN)
+        machine.map_range(SCRATCH - 0x440, 0x800)
+        executed = machine.run(max_instructions=cap)
+        return machine, executed
+
     @settings(max_examples=10, deadline=None)
-    @given(ops=st.lists(op_strategy, min_size=2, max_size=8), max_len=st.integers(2, 8))
-    def test_any_window_cap_matches_the_interpreter(self, ops, max_len):
-        # The window cap decides where traces split into blocks; no
-        # split point may be observable.  Formation state is shared per
-        # layout, so each example starts cold.
-        program, budget = _assemble_random(ops, repeats=4)
-        saved = replay._SB_MAX_LEN
-        replay._SB_MAX_LEN = max_len
-        try:
-            replay.clear_record_caches()
-            compiled = VAX780(monitor=UPCMonitor.build())
-            compiled.load_program(program, ORIGIN)
-            compiled.map_range(SCRATCH - 0x440, 0x800)
-            compiled.run(max_instructions=budget)
-        finally:
-            replay._SB_MAX_LEN = saved
+    @given(
+        ops=st.lists(op_strategy, min_size=2, max_size=8),
+        cap=st.integers(1, 2 + 3 * 8),
+    )
+    def test_any_window_cap_matches_the_interpreter(self, ops, cap):
+        # The instruction cap ends the run window at an arbitrary
+        # boundary, mid-way through a replayed repeat or not; no stop
+        # point may be observable.
+        program, budget = _assemble(ops, repeats=3)
+        cap = min(cap, budget)
+        compiled, c_executed = self._run(program, cap)
         with interpreter():
-            interpreted = VAX780(monitor=UPCMonitor.build())
-            interpreted.load_program(program, ORIGIN)
-            interpreted.map_range(SCRATCH - 0x440, 0x800)
-            interpreted.run(max_instructions=budget)
-        assert _random_state(compiled) == _random_state(interpreted)
-
-
-# ---------------------------------------------------------------------------
-# Metrics round-trip
-# ---------------------------------------------------------------------------
-
-
-class TestSuperblockMetrics:
-    def _stats(self):
-        stats = replay.CompileStats()
-        stats.jit_hits = 60
-        stats.jit_misses = 4
-        stats.superblocks_formed = 3
-        stats.superblock_runs = 10
-        stats.superblock_instructions = 55
-        stats.superblock_deopts = 2
-        return stats
-
-    def test_mean_length_and_dict(self):
-        stats = self._stats()
-        assert stats.superblock_mean_length == 5.5
-        out = stats.to_dict()
-        assert out["superblocks_formed"] == 3
-        assert out["superblock_mean_length"] == 5.5
-
-    def test_merge_sums_superblock_counters(self):
-        a, b = self._stats(), self._stats()
-        a.merge_from(b)
-        assert a.superblocks_formed == 6
-        assert a.superblock_runs == 20
-        assert a.superblock_instructions == 110
-        assert a.superblock_deopts == 4
-        assert a.superblock_mean_length == 5.5
-
-    def test_registry_snapshot_round_trip(self):
-        registry = MetricsRegistry()
-        replay.record_metrics(registry, self._stats(), active=True)
-        out = replay.stats_from_snapshot(registry.snapshot())
-        assert out["superblocks_formed"] == 3
-        assert out["superblock_runs"] == 10
-        assert out["superblock_instructions"] == 55
-        assert out["superblock_deopts"] == 2
-        assert out["superblock_mean_length"] == 5.5
+            interpreted, i_executed = self._run(program, cap)
+        assert c_executed == i_executed
+        assert _final_state(compiled) == _final_state(interpreted)

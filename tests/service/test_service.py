@@ -134,9 +134,15 @@ class TestRoutes:
         with pytest.raises(ClientError) as caught:
             client.request("POST", "/sweeps", {"specs": []})
         assert caught.value.status == 400
-        with pytest.raises(ClientError) as caught:
-            client.request("POST", "/sweeps", {"specs": [{"bogus": 1}]})
-        assert caught.value.status == 400
+        for spec in (
+            {"bogus": 1},
+            {"workload": "nosuch"},
+            {"workload": "educational", "instructions": -5},
+            {"workload": "educational", "instructions": "100"},
+        ):
+            with pytest.raises(ClientError) as caught:
+                client.request("POST", "/sweeps", {"specs": [spec]})
+            assert caught.value.status == 400, spec
 
     def test_get_on_sweeps_405(self, client):
         with pytest.raises(ClientError) as caught:
@@ -144,34 +150,39 @@ class TestRoutes:
         assert caught.value.status == 405
 
 
+#: A spec the API accepts but the machine refuses at build time: the
+#: cache size is not a multiple of ways * block size.
+BROKEN = RunSpec(
+    workload="educational",
+    instructions=100,
+    config=MachineConfig(cache_size_bytes=1000),
+    label="broken-cache",
+)
+
+
 class TestErrorEnvelope:
     def test_failed_job_reconstructs_engine_error(self, client):
-        accepted = client.submit_sweep(
-            [RunSpec(workload="no-such-workload", instructions=100)]
-        )
+        accepted = client.submit_sweep([BROKEN])
         record = client.wait(accepted["job"])
         assert record["state"] == "failed"
         envelope = record["error"]
         assert envelope["type"] == "EngineError"
         error = api.error_from_envelope(envelope)
         assert isinstance(error, EngineError)
-        assert error.spec_name == "no-such-workload"
+        assert error.spec_name == "broken-cache"
         assert error.worker_traceback  # the server-side traceback survives
         # The job counter tells the failure story too.
         assert client.stats()["metrics"]["counters"]["service.jobs.failed"] >= 1
 
     def test_collect_mode_reports_instead_of_failing(self, client):
         accepted = client.submit_sweep(
-            [
-                RunSpec(workload="no-such-workload", instructions=100),
-                RunSpec(**SPEC),
-            ],
+            [BROKEN, RunSpec(**SPEC)],
             on_error="collect",
         )
         record = client.wait(accepted["job"])
         assert record["state"] == "done"
         assert record["report"]["total"] == 2
         assert [f["name"] for f in record["report"]["failures"]] == [
-            "no-such-workload"
+            "broken-cache"
         ]
         assert [run["name"] for run in record["runs"]] == ["educational"]
