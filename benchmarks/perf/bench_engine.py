@@ -107,7 +107,8 @@ SHARD_WORKLOAD = "educational"
 
 
 def _measure_composite(instructions, warmup, jobs):
-    from repro.core.engine import RunSpec, run_specs
+    from repro.core.executor import RunSpec
+    from repro.core.scheduler import run_specs
     from repro.core.experiment import composite
     from repro.workloads import COMPOSITE_WORKLOAD_NAMES
 
@@ -131,7 +132,8 @@ def _equal(result_a, result_b) -> bool:
 
 
 def _measure_sharded(instructions, warmup, shards, cache):
-    from repro.core.engine import RunSpec, execute_spec_sharded
+    from repro.core.executor import RunSpec
+    from repro.core.scheduler import execute_spec_sharded
 
     spec = RunSpec(
         workload=SHARD_WORKLOAD,
@@ -259,7 +261,8 @@ def smoke(jobs: int) -> int:
     run must be bit-identical to the unsharded reference; and on the
     user path the replay arm must be bit-identical to the interpreted
     arm and clear the throughput and speedup floors."""
-    from repro.core.engine import RunSpec, execute_spec, execute_spec_sharded
+    from repro.core.executor import RunSpec, execute_spec
+    from repro.core.scheduler import execute_spec_sharded
     from repro.core.experiment import run_workload
     from repro.obs.trace import Tracer, validate_chrome
 
@@ -402,7 +405,7 @@ def main() -> int:
 
     # Intra-workload sharding: one workload, SHARD_COUNT shards, cold
     # (fresh cache populated) then warm (every shard replayed from it).
-    from repro.core.engine import RunSpec, execute_spec
+    from repro.core.executor import RunSpec, execute_spec
     from repro.core.runcache import RunCache
 
     cache_root = tempfile.mkdtemp(prefix="bench-repro-cache-")

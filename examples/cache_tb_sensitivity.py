@@ -20,7 +20,8 @@ Run:  python examples/cache_tb_sensitivity.py [instructions] [jobs]
 
 import sys
 
-from repro.core.engine import MachineConfig, RunSpec, run_specs
+from repro.core.executor import MachineConfig, RunSpec
+from repro.core.scheduler import run_specs
 
 #: (label, config) — the real machine first, then each what-if.
 DESIGN_POINTS = [

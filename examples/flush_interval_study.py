@@ -21,7 +21,7 @@ Run:  python examples/flush_interval_study.py [instructions] [jobs]
 
 import sys
 
-from repro.core.engine import parallel_map
+from repro.core.executor import parallel_map
 from repro.core.monitor import UPCMonitor
 from repro.cpu import VAX780
 from repro.memory.tracesim import (

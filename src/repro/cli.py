@@ -74,6 +74,7 @@ on stdout.
 from __future__ import annotations
 
 import argparse
+import math
 
 from repro.core import tables
 from repro.core.reduction import COLUMNS, ROWS
@@ -403,7 +404,7 @@ def cmd_serve(args) -> int:
 
 def _submit_specs(args):
     """The sweep a ``repro submit`` invocation describes."""
-    from repro.core.engine import RunSpec
+    from repro.core.executor import RunSpec
     from repro.workloads import COMPOSITE_WORKLOAD_NAMES
 
     names = args.workloads or list(COMPOSITE_WORKLOAD_NAMES)
@@ -522,7 +523,8 @@ _SWEEP_PARAMS = {
 
 
 def cmd_sweep(args) -> int:
-    from repro.core.engine import MachineConfig, RunSpec, run_specs
+    from repro.core.executor import MachineConfig, RunSpec
+    from repro.core.scheduler import run_specs
 
     log = get_logger("repro.sweep")
     make_fields = _SWEEP_PARAMS[args.param]
@@ -926,7 +928,8 @@ def cmd_bench(args) -> int:
     import os
     import time
 
-    from repro.core.engine import RunSpec, run_specs
+    from repro.core.executor import RunSpec
+    from repro.core.scheduler import run_specs
     from repro.core.experiment import composite
     from repro.obs.metrics import MetricsRegistry
     from repro.workloads import COMPOSITE_WORKLOAD_NAMES
@@ -973,7 +976,7 @@ def cmd_bench(args) -> int:
     cold_result, cold_wall, _ = measure()
     measured = cold_result.instructions
     warm_wall, warm_runs = None, None
-    for _ in range(max(1, args.trials)):
+    for _ in range(args.trials):
         _, wall, runs = measure()
         if warm_wall is None or wall < warm_wall:
             warm_wall, warm_runs = wall, runs
@@ -1021,7 +1024,8 @@ def cmd_bench(args) -> int:
 def cmd_stats(args) -> int:
     import json
 
-    from repro.core.engine import RunSpec, run_specs
+    from repro.core.executor import RunSpec
+    from repro.core.scheduler import run_specs
     from repro.core.experiment import composite
     from repro.obs.metrics import registry_from_result
     from repro.workloads import COMPOSITE_WORKLOAD_NAMES
@@ -1148,10 +1152,23 @@ def _budget(minimum: int):
     return parse
 
 
-#: argparse types for instruction budgets: measured runs need at least
-#: one instruction, warmup may be zero.
+#: argparse types for budgets and counts: measured runs need at least
+#: one instruction (and sweeps one job), warmup and retries may be zero.
 _positive_int = _budget(1)
 _non_negative_int = _budget(0)
+
+
+def _positive_seconds(text: str) -> float:
+    """A finite wall-clock budget above zero (0 would mean "none")."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = None
+    if value is None or not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            "expected a number of seconds > 0, got {!r}".format(text)
+        )
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1187,14 +1204,14 @@ def build_parser() -> argparse.ArgumentParser:
     composite_parser.add_argument("--warmup", type=_non_negative_int, default=2_000)
     composite_parser.add_argument(
         "--jobs",
-        type=int,
+        type=_positive_int,
         default=1,
         help="fan the workload runs out over N processes (results are "
         "bit-identical to --jobs 1)",
     )
     composite_parser.add_argument(
         "--shards",
-        type=int,
+        type=_positive_int,
         default=1,
         help="split each workload's measurement into K resumable shards "
         "(results are bit-identical to --shards 1; finished shards are "
@@ -1212,14 +1229,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     composite_parser.add_argument(
         "--retries",
-        type=int,
+        type=_non_negative_int,
         default=0,
         help="extra attempts per workload before declaring it failed "
         "(exponential backoff between attempts)",
     )
     composite_parser.add_argument(
         "--spec-timeout",
-        type=float,
+        type=_positive_seconds,
         default=None,
         help="per-workload wall-clock budget in seconds; a stuck run "
         "costs one attempt and its pool is recycled",
@@ -1285,10 +1302,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="TCP port (0 = ask the OS; the bound port prints on stdout)",
     )
     serve_parser.add_argument(
-        "--jobs", type=int, default=1, help="process-pool width per sweep"
+        "--jobs", type=_positive_int, default=1,
+        help="process-pool width per sweep",
     )
     serve_parser.add_argument(
-        "--shards", type=int, default=1,
+        "--shards", type=_positive_int, default=1,
         help="resumable shards per workload measurement",
     )
     serve_parser.add_argument(
@@ -1301,15 +1319,17 @@ def build_parser() -> argparse.ArgumentParser:
         "across restarts)",
     )
     serve_parser.add_argument(
-        "--concurrency", type=int, default=2,
+        "--concurrency", type=_positive_int, default=2,
         help="job worker tasks; overlapping jobs dedupe in-flight",
     )
     serve_parser.add_argument(
-        "--result-index", type=int, default=256,
+        "--result-index", type=_positive_int, default=256,
         help="completed runs kept in the bounded result index",
     )
-    serve_parser.add_argument("--retries", type=int, default=0)
-    serve_parser.add_argument("--spec-timeout", type=float, default=None)
+    serve_parser.add_argument("--retries", type=_non_negative_int, default=0)
+    serve_parser.add_argument(
+        "--spec-timeout", type=_positive_seconds, default=None
+    )
     serve_parser.set_defaults(func=cmd_serve)
 
     submit_parser = sub.add_parser(
@@ -1364,7 +1384,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_parser.add_argument("values", type=int, nargs="+")
     sweep_parser.add_argument("--instructions", type=_positive_int, default=6_000)
     sweep_parser.add_argument("--warmup", type=_non_negative_int, default=1_500)
-    sweep_parser.add_argument("--jobs", type=int, default=1)
+    sweep_parser.add_argument("--jobs", type=_positive_int, default=1)
     sweep_parser.set_defaults(func=cmd_sweep)
 
     opcode_parser = sub.add_parser("opcodes", help="per-opcode frequency report")
@@ -1519,7 +1539,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="warmup instructions (default: the committed config)",
     )
     bench_parser.add_argument(
-        "--trials", type=int, default=2, help="warm trials (best one reported)"
+        "--trials", type=_positive_int, default=2,
+        help="warm trials (best one reported)",
     )
     bench_parser.add_argument(
         "--baseline",
@@ -1534,7 +1555,7 @@ def build_parser() -> argparse.ArgumentParser:
     stats_parser.add_argument("workload", nargs="?", default=None, type=_workload)
     stats_parser.add_argument("--instructions", type=_positive_int, default=5_000)
     stats_parser.add_argument("--warmup", type=_non_negative_int, default=1_000)
-    stats_parser.add_argument("--jobs", type=int, default=1)
+    stats_parser.add_argument("--jobs", type=_positive_int, default=1)
     stats_parser.add_argument(
         "--json", action="store_true", help="emit the snapshot as JSON"
     )
@@ -1544,7 +1565,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    from repro.core.engine import EngineError
+    from repro.core.executor import EngineError
 
     parser = build_parser()
     args = parser.parse_args(argv)

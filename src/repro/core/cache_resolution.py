@@ -5,8 +5,8 @@ cache-resolution).  The scheduler asks this module three questions
 before it spends any simulation time:
 
 * *Is this whole run already banked?* — run-level objects
-  (:func:`resolve_cached_run` / :func:`store_run`) let the service
-  dedupe complete sweeps against the content-addressed
+  (:func:`resolve_cached_run` / :func:`load_run` / :func:`store_run`)
+  let the service dedupe complete sweeps against the content-addressed
   :class:`~repro.core.runcache.RunCache` across server restarts.
 * *Which shards of this run are already banked?* —
   :func:`shard_cache_keys` / :func:`load_cached_shard` resolve the
@@ -143,12 +143,11 @@ def load_cached_snapshot(cache, key: str):
 # zeroed rather than replayed as if the work had happened again).
 
 
-def run_cache_key(spec) -> str:
-    """The run-level cache key for one spec (config-hash addressed)."""
+def run_cache_key(digest: str) -> str:
+    """The run-level cache key for one spec's config-hash digest."""
     from repro.core.runcache import cache_key
-    from repro.obs.provenance import config_hash
 
-    return cache_key("run", config=config_hash(spec))
+    return cache_key("run", config=digest)
 
 
 def store_run(cache, spec, run) -> None:
@@ -156,8 +155,10 @@ def store_run(cache, spec, run) -> None:
 
     First write wins: a concurrent client that raced the same spec to
     completion leaves the earlier (bit-identical) payload in place."""
+    from repro.obs.provenance import config_hash
+
     cache.put(
-        run_cache_key(spec),
+        run_cache_key(config_hash(spec)),
         pickle.dumps(run, protocol=4),
         meta={
             "kind": "run",
@@ -169,6 +170,20 @@ def store_run(cache, spec, run) -> None:
     )
 
 
+def load_run(cache, digest: str):
+    """The banked run for a config-hash digest, exactly as stored;
+    ``None`` on miss, or on damage (quarantined)."""
+    key = run_cache_key(digest)
+    blob = cache.get(key)
+    if blob is None:
+        return None
+    try:
+        return pickle.loads(blob)
+    except Exception as exc:
+        cache.quarantine(key, reason="unpicklable run: {}".format(exc))
+        return None
+
+
 def resolve_cached_run(cache, spec):
     """Replay one whole run from the cache; ``None`` on miss or damage.
 
@@ -177,17 +192,14 @@ def resolve_cached_run(cache, spec):
     and wall seconds are zeroed — the run cost nothing *this time*, and
     fabricating the original timing would double-count it (the original
     manifest is still banked inside the cached payload's history)."""
-    key = run_cache_key(spec)
-    blob = cache.get(key)
-    if blob is None:
-        return None
-    try:
-        run = pickle.loads(blob)
-    except Exception as exc:
-        cache.quarantine(key, reason="unpicklable run: {}".format(exc))
+    from repro.obs.provenance import config_hash
+
+    digest = config_hash(spec)
+    run = load_run(cache, digest)
+    if run is None:
         return None
     run.wall_seconds = 0.0
     if run.manifest is not None:
         run.manifest.wall_seconds = 0.0
-        run.manifest.resumed_from = key
+        run.manifest.resumed_from = run_cache_key(digest)
     return run

@@ -15,8 +15,8 @@ Contents:
   (:class:`EngineRun`, :class:`ShardResult`);
 * :func:`execute_spec` — one monitored measurement run, manifest and
   metrics included (this is the pool-worker body);
-* :func:`_run_pool_tasks` — the resilient process-pool driver: retries
-  with backoff, wall-clock timeouts enforced by pool recycling,
+* :func:`_run_pool_tasks` — the one retry loop, pooled or in-process:
+  retries with backoff, wall-clock timeouts enforced by pool recycling,
   ``BrokenProcessPool`` respawn and requeue, degradation to in-process
   execution, interrupt handling;
 * the shard measurement primitives (:func:`_measure_span`,
@@ -347,7 +347,7 @@ def _run_pool_tasks(
     on_done=None,
     on_retry=None,
 ):
-    """Run guarded tasks through a process pool under a resilience policy.
+    """Run guarded tasks under a resilience policy, pooled or in-process.
 
     ``tasks`` is ``[(task_id, arg), ...]`` and ``fn(arg)`` must return a
     guarded payload (``("ok", ...)`` or ``("error", name, traceback)``).
@@ -369,9 +369,12 @@ def _run_pool_tasks(
       be reclaimed individually, so the pool is recycled; the slow task
       is charged an attempt, the innocents requeue for free.
 
-    After ``policy.max_pool_respawns`` recycles the pool is abandoned
-    and the remainder runs in-process (degraded mode: retries still
-    apply, timeouts cannot preempt).
+    With ``workers <= 1`` no pool is ever built and every task runs
+    in-process, in order, each retry right after its failed attempt:
+    the sequential reference path.  After ``policy.max_pool_respawns``
+    recycles a pool is abandoned and the remainder runs the same way
+    (degraded mode, flagged in ``stats``).  In-process, retries still
+    apply but timeouts cannot preempt.
 
     A ``KeyboardInterrupt`` cancels outstanding futures, shuts the pool
     down without waiting and re-raises as
@@ -398,13 +401,20 @@ def _run_pool_tasks(
             on_done(tid, payload)
 
     def fail_or_retry(tid, arg, attempt, kind, error, tb="") -> bool:
-        """Requeue with backoff, or record the final failure (-> True)."""
+        """Requeue with backoff, or record the final failure (-> True).
+
+        In-process, the retry goes to the front of the queue so a task's
+        attempts stay back to back, as in a plain sequential loop."""
         if attempt < max_attempts:
             stats["retries"] += 1
             if on_retry is not None:
                 on_retry(tid, attempt, kind, error)
             delay = policy.retry.backoff(attempt)
-            pending.append((tid, arg, attempt + 1, time.monotonic() + delay))
+            retry = (tid, arg, attempt + 1, time.monotonic() + delay)
+            if pool is None:
+                pending.appendleft(retry)
+            else:
+                pending.append(retry)
             return False
         failures[tid] = SpecFailure(
             name=describe(tid),
@@ -435,15 +445,16 @@ def _run_pool_tasks(
         else:
             pool = ProcessPoolExecutor(max_workers=workers, mp_context=_pool_context())
 
-    pool = ProcessPoolExecutor(max_workers=workers, mp_context=_pool_context())
+    pool = None
+    if workers > 1:
+        pool = ProcessPoolExecutor(max_workers=workers, mp_context=_pool_context())
     try:
         while pending or inflight:
             if stop_on_failure and failures:
                 break
             now = time.monotonic()
-            if stats["degraded"]:
-                # In-process fallback: no pool left to trust.  Retries
-                # still apply; timeouts cannot preempt in-process work.
+            if pool is None:
+                # In-process: one worker, or no pool left to trust.
                 tid, arg, attempt, not_before = pending.popleft()
                 if not_before > now:
                     policy.sleep(not_before - now)

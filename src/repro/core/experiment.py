@@ -148,8 +148,8 @@ def prepare_workload(
     the mini-VMS kernel, create the profile's process population, attach
     the RTE as the terminal source.  Returns ``(kernel, monitor)``.
 
-    Shared by :func:`run_workload` and the sharded executor in
-    :mod:`repro.core.engine`, which snapshots the machine at shard
+    Shared by :func:`run_workload` and the sharded chain in
+    :mod:`repro.core.scheduler`, which snapshots the machine at shard
     boundaries instead of running straight through.
     """
     from repro.vms import VMSKernel
@@ -303,12 +303,12 @@ def run_composite_experiment(
     pool (``jobs=1`` is the in-process reference path; both produce
     bit-identical composites).  ``seed_offset`` and ``process_count``
     apply to every workload; ``overrides`` maps a workload name to a
-    dict of per-workload :class:`~repro.core.engine.RunSpec` field
+    dict of per-workload :class:`~repro.core.executor.RunSpec` field
     overrides, e.g. ``{"scientific": {"seed_offset": 3}}``.  ``progress``
-    is forwarded to :func:`~repro.core.engine.run_specs`.
+    is forwarded to :meth:`~repro.core.scheduler.Scheduler.run_specs`.
 
     ``shards > 1`` splits each workload's measurement into resumable
-    shards (see :func:`~repro.core.engine.execute_spec_sharded`);
+    shards (see :func:`~repro.core.scheduler.execute_spec_sharded`);
     ``cache`` (a :class:`~repro.core.runcache.RunCache`) lets repeated
     runs reuse finished shards and boundary snapshots.  The composite
     stays bit-identical whatever the shard count.
@@ -321,7 +321,9 @@ def run_composite_experiment(
     workload that succeeded (``None`` when all failed) plus the
     :class:`~repro.core.resilience.FailureReport`.
     """
-    from repro.core.engine import RunSpec, Scheduler  # lazy: engine imports us
+    # lazy: the engine layers import this module
+    from repro.core.executor import RunSpec
+    from repro.core.scheduler import Scheduler
     from repro.workloads import COMPOSITE_WORKLOAD_NAMES
 
     names = workloads if workloads is not None else COMPOSITE_WORKLOAD_NAMES

@@ -3,8 +3,8 @@
 The paper's monitor survived a week of live timesharing because losing
 one histogram readout did not abort the experiment; this module gives
 the simulator's engine the same property.  A
-:class:`ResiliencePolicy` tells :func:`~repro.core.engine.run_specs`
-and :func:`~repro.core.engine.execute_spec_sharded` how hard to fight
+:class:`ResiliencePolicy` tells :func:`~repro.core.scheduler.run_specs`
+and :func:`~repro.core.scheduler.execute_spec_sharded` how hard to fight
 for a result — retry budgets with exponential backoff, per-spec
 wall-clock timeouts, how many process-pool deaths to tolerate before
 degrading to in-process execution — and whether a spec that still fails

@@ -6,12 +6,12 @@ The :mod:`~repro.core.executor` knows how to run one unit of work; the
 this module decides.  Two entry shapes share one orchestration path:
 
 * the module functions :func:`run_specs` and
-  :func:`execute_spec_sharded` — the historical engine API, re-exported
-  by the :mod:`repro.core.engine` facade and bit-identical to it;
-* the :class:`Scheduler` — the multi-client front door used by the CLI
-  ``composite``/``sweep`` commands and the experiment service alike.
-  Every client's sweep funnels through ``Scheduler.run_specs``, so
-  there is one code path deciding execution, not one per client.
+  :func:`execute_spec_sharded` — a plain sweep with no deduplication
+  (the CLI ``sweep``, ``stats`` and ``bench`` commands call
+  :func:`run_specs` directly);
+* the :class:`Scheduler` — the multi-client front door used by the
+  ``composite`` command and the experiment service.  It deduplicates,
+  then hands what must execute to the same module functions.
 
 The Scheduler deduplicates three ways before spending simulation time.
 A spec's identity is its :func:`~repro.obs.provenance.config_hash`
@@ -57,6 +57,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core.cache_resolution import (
     load_cached_shard,
     load_cached_snapshot,
+    load_run,
     resolve_cached_run,
     shard_cache_keys,
     store_boundary_snapshot,
@@ -71,6 +72,7 @@ from repro.core.executor import (
     RunSpec,
     ShardResult,
     _execute_shard_task_guarded,
+    _execute_spec_guarded,
     _ignore_progress,
     _pool_context,
     _run_pool_tasks,
@@ -79,6 +81,7 @@ from repro.core.executor import (
     execute_spec,
     shard_boundaries,
 )
+from repro.core.experiment import prepare_workload
 
 
 def run_specs(
@@ -91,7 +94,8 @@ def run_specs(
 
     ``jobs <= 1`` runs sequentially in-process (no pool, no pickling
     requirement) and is the reference behaviour: parallel execution
-    produces bit-identical payloads, just faster.
+    produces bit-identical payloads, just faster.  Both go through the
+    one retry loop in :func:`~repro.core.executor._run_pool_tasks`.
 
     ``progress`` receives a :class:`ProgressEvent` when each spec is
     dispatched, retried, completed or failed — the CLI renders these as
@@ -109,11 +113,9 @@ def run_specs(
     the partial report when the policy names a path, and re-raises as
     :class:`~repro.core.resilience.SweepInterrupted`.
     """
-    from repro.core.executor import _execute_spec_guarded
     from repro.core.resilience import (
         FailureReport,
         ResiliencePolicy,
-        SpecFailure,
         SweepInterrupted,
         SweepResult,
     )
@@ -122,7 +124,6 @@ def run_specs(
     total = len(specs)
     notify = progress if progress is not None else _ignore_progress
     policy = policy if policy is not None else ResiliencePolicy()
-    max_attempts = policy.retry.max_attempts
 
     results: List[Optional[EngineRun]] = [None] * total
     report = FailureReport(total=total)
@@ -148,60 +149,6 @@ def run_specs(
         if policy.on_error == "collect":
             return SweepResult(runs=results, report=report)
         return results
-
-    if jobs <= 1 or total <= 1:
-        try:
-            for index, spec in enumerate(specs):
-                notify(ProgressEvent("start", index, total, spec.name))
-                attempt = 1
-                while True:
-                    try:
-                        run = execute_spec(spec)
-                    except KeyboardInterrupt:
-                        raise
-                    except Exception as exc:
-                        worker_tb = traceback.format_exc()
-                        if attempt < max_attempts:
-                            report.retries += 1
-                            notify(
-                                ProgressEvent(
-                                    "retry", index, total, spec.name, error=str(exc)
-                                )
-                            )
-                            policy.sleep(policy.retry.backoff(attempt))
-                            attempt += 1
-                            continue
-                        notify(
-                            ProgressEvent(
-                                "error", index, total, spec.name, error=str(exc)
-                            )
-                        )
-                        report.failures.append(
-                            SpecFailure(
-                                name=spec.name,
-                                index=index,
-                                attempts=attempt,
-                                kind="error",
-                                error=str(exc),
-                                worker_traceback=worker_tb,
-                            )
-                        )
-                        break
-                    if run.manifest is not None:
-                        run.manifest.attempts = attempt
-                    results[index] = run
-                    notify(
-                        ProgressEvent(
-                            "done", index, total, spec.name,
-                            wall_seconds=run.wall_seconds,
-                        )
-                    )
-                    break
-                if report.failures and policy.on_error == "raise":
-                    break
-        except KeyboardInterrupt as exc:
-            interrupted(exc)
-        return conclude()
 
     workers = min(jobs, total)
 
@@ -304,10 +251,6 @@ def _open_chain_kernel(
     (which may be below ``start_index``, recomputing spans whose results
     are already known, because simulation state is only reachable by
     simulating)."""
-    # The fresh build goes through the engine facade so tests (and
-    # callers) can patch one well-known prepare_workload seam.
-    from repro.core import engine as _engine
-
     if cache is not None:
         for candidate in range(start_index, -1, -1):
             key = snapshot_keys[boundaries[candidate]]
@@ -316,7 +259,7 @@ def _open_chain_kernel(
             kernel, digest = load_cached_snapshot(cache, key)
             if kernel is not None:
                 return kernel, candidate, digest
-    kernel, _ = _engine.prepare_workload(
+    kernel, _ = prepare_workload(
         spec.workload,
         process_count=spec.process_count,
         seed_offset=spec.seed_offset,
@@ -791,9 +734,6 @@ class Scheduler:
     historical API, and publishes every completed run so concurrent and
     future clients dedupe against it.
 
-    ``dedupe=False`` turns the partitioning off entirely — the facade's
-    ``run_specs`` uses that to stay bit-compatible with the historical
-    engine (where submitting the same spec twice executed it twice).
     ``run_resolution`` additionally banks and resolves whole runs in
     the content-addressed cache (the service turns this on; shard-level
     caching inside ``execute_spec_sharded`` is independent of it).
@@ -807,7 +747,6 @@ class Scheduler:
         policy=None,
         metrics=None,
         result_index_size: int = 256,
-        dedupe: bool = True,
         run_resolution: bool = False,
     ):
         self.jobs = jobs
@@ -816,7 +755,6 @@ class Scheduler:
         self.policy = policy
         self.metrics = metrics
         self.result_index_size = max(1, result_index_size)
-        self.dedupe = dedupe
         self.run_resolution = run_resolution
         #: registry + index bookkeeping
         self._lock = threading.Lock()
@@ -862,19 +800,7 @@ class Scheduler:
                 self._index.move_to_end(digest)
                 return run
         if self.run_resolution and self.cache is not None:
-            from repro.core.runcache import cache_key
-
-            blob_key = cache_key("run", config=digest)
-            import pickle
-
-            blob = self.cache.get(blob_key)
-            if blob is not None:
-                try:
-                    return pickle.loads(blob)
-                except Exception as exc:
-                    self.cache.quarantine(
-                        blob_key, reason="unpicklable run: {}".format(exc)
-                    )
+            return load_run(self.cache, digest)
         return None
 
     # -- deduplicated provenance -------------------------------------------
@@ -992,56 +918,52 @@ class Scheduler:
         batch_attach: Dict[int, int] = {}
         owners: List[int] = []
         tickets: Dict[int, _Ticket] = {}
-        digests: List[Optional[str]] = [None] * total
 
-        if not self.dedupe:
-            owners = list(range(total))
-        else:
-            digests = [config_hash(spec) for spec in specs]
-            with self._lock:
-                seen: Dict[str, int] = {}
-                for index, (spec, digest) in enumerate(zip(specs, digests)):
-                    if digest in seen:
-                        batch_attach[index] = seen[digest]
+        digests = [config_hash(spec) for spec in specs]
+        with self._lock:
+            seen: Dict[str, int] = {}
+            for index, (spec, digest) in enumerate(zip(specs, digests)):
+                if digest in seen:
+                    batch_attach[index] = seen[digest]
+                    self._count(
+                        "scheduler.specs.deduped_batch",
+                        "duplicate specs within one sweep attached to the"
+                        " batch primary",
+                    )
+                    continue
+                seen[digest] = index
+                held = self._index.get(digest)
+                if held is not None:
+                    self._index.move_to_end(digest)
+                    resolved[index] = self._attached_copy(held, digest)
+                    self._count(
+                        "scheduler.specs.resolved_index",
+                        "specs resolved from the bounded result index",
+                    )
+                    continue
+                ticket = self._inflight.get(digest)
+                if ticket is not None:
+                    waiters[index] = ticket
+                    self._count(
+                        "scheduler.specs.attached_inflight",
+                        "specs attached to an already-running job instead"
+                        " of executing a duplicate",
+                    )
+                    continue
+                if self.run_resolution and self.cache is not None:
+                    run = resolve_cached_run(self.cache, spec)
+                    if run is not None:
+                        self._index_put(digest, run)
+                        resolved[index] = run
                         self._count(
-                            "scheduler.specs.deduped_batch",
-                            "duplicate specs within one sweep attached to the"
-                            " batch primary",
+                            "scheduler.specs.resolved_cache",
+                            "specs resolved whole from the run cache",
                         )
                         continue
-                    seen[digest] = index
-                    held = self._index.get(digest)
-                    if held is not None:
-                        self._index.move_to_end(digest)
-                        resolved[index] = self._attached_copy(held, digest)
-                        self._count(
-                            "scheduler.specs.resolved_index",
-                            "specs resolved from the bounded result index",
-                        )
-                        continue
-                    ticket = self._inflight.get(digest)
-                    if ticket is not None:
-                        waiters[index] = ticket
-                        self._count(
-                            "scheduler.specs.attached_inflight",
-                            "specs attached to an already-running job instead"
-                            " of executing a duplicate",
-                        )
-                        continue
-                    if self.run_resolution and self.cache is not None:
-                        run = resolve_cached_run(self.cache, spec)
-                        if run is not None:
-                            self._index_put(digest, run)
-                            resolved[index] = run
-                            self._count(
-                                "scheduler.specs.resolved_cache",
-                                "specs resolved whole from the run cache",
-                            )
-                            continue
-                    ticket = _Ticket(digest)
-                    self._inflight[digest] = ticket
-                    tickets[index] = ticket
-                    owners.append(index)
+                ticket = _Ticket(digest)
+                self._inflight[digest] = ticket
+                tickets[index] = ticket
+                owners.append(index)
 
         # Progress remap: owner-batch events carry batch-local indices;
         # clients expect sweep-local ones.  Shard-level events (total ==
@@ -1054,9 +976,8 @@ class Scheduler:
 
         owner_runs: Dict[int, Optional[EngineRun]] = {}
         batch_report = None
-        outcome = None
         try:
-            if owners or not self.dedupe:
+            if owners:
                 try:
                     with self._exec_lock:
                         outcome = self._execute_batch(
@@ -1097,10 +1018,9 @@ class Scheduler:
                                 "scheduler.specs.executed",
                                 "specs this scheduler actually executed",
                             )
-                            if digests[index] is not None:
-                                if self.run_resolution and self.cache is not None:
-                                    store_run(self.cache, specs[index], run)
-                                self._index_put(digests[index], run)
+                            if self.run_resolution and self.cache is not None:
+                                store_run(self.cache, specs[index], run)
+                            self._index_put(digests[index], run)
                             if ticket is not None:
                                 ticket.run = run
                         elif ticket is not None:
@@ -1162,9 +1082,6 @@ class Scheduler:
                 "wall-clock of one scheduled sweep, recorded once at the"
                 " scheduler layer",
             ).observe(time.perf_counter() - sweep_started)
-
-        if not self.dedupe:
-            return outcome
 
         runs: List[Optional[EngineRun]] = [None] * total
         for index in range(total):

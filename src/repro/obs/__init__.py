@@ -22,7 +22,8 @@ discipline on the simulator itself:
 * :mod:`repro.obs.log` — a small structured logger for the CLI and the
   engine (level from ``--verbose``/``-q`` or the ``REPRO_LOG`` env var).
 * :mod:`repro.obs.provenance` — run manifests: config hash, seeds, code
-  version and timings attached to every :class:`~repro.core.engine.EngineRun`.
+  version and timings attached to every
+  :class:`~repro.core.executor.EngineRun`.
 
 Like the monitor, every collector here only *receives* notifications —
 nothing in this package holds a reference into the machine, and tracing

@@ -29,7 +29,7 @@ Design constraints, in order:
 Sites currently instrumented (see the callers for exact keys):
 
 ========================  ====================================================
-``worker``                :func:`repro.core.engine._execute_spec_guarded`,
+``worker``                :func:`repro.core.executor.execute_spec`,
                           keyed by spec name — ``raise``/``crash``/``hang``
 ``shard.task``            sharded pool worker entry, keyed ``<spec>@<start>``
 ``shard.measure``         every measured shard span (chain *and* workers),

@@ -165,3 +165,37 @@ class TestCLIBoundary:
     def test_zero_warmup_is_accepted(self):
         args = build_parser().parse_args(["run", "educational", "--warmup", "0"])
         assert args.warmup == 0 and args.workload == "educational"
+
+    @pytest.mark.parametrize("command", ["composite", "serve"])
+    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf", "soon"])
+    def test_spec_timeout_must_be_positive_seconds(self, capsys, command, value):
+        # A negative budget would expire every pooled task on dispatch;
+        # zero used to mean "no timeout" without saying so.
+        line = self._parse_error([command, "--spec-timeout", value], capsys)
+        assert "--spec-timeout" in line
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["composite", "--jobs", "0"],
+            ["composite", "--shards", "0"],
+            ["composite", "--retries", "-1"],
+            ["serve", "--jobs", "0"],
+            ["serve", "--shards", "0"],
+            ["serve", "--concurrency", "0"],
+            ["serve", "--result-index", "0"],
+            ["serve", "--retries", "-1"],
+            ["sweep", "educational", "cache_kb", "8", "--jobs", "0"],
+            ["stats", "--jobs", "0"],
+            ["bench", "--trials", "0"],
+        ],
+    )
+    def test_count_flags_are_range_checked(self, capsys, argv):
+        line = self._parse_error(argv, capsys)
+        assert argv[-2] in line
+
+    def test_in_range_counts_and_timeouts_are_accepted(self):
+        args = build_parser().parse_args(
+            ["composite", "--jobs", "1", "--retries", "0", "--spec-timeout", "0.5"]
+        )
+        assert (args.jobs, args.retries, args.spec_timeout) == (1, 0, 0.5)

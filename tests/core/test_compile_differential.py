@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 
 from repro.asm import Assembler
 from repro.core import compile as replay
-from repro.core.engine import RunSpec, execute_spec
+from repro.core.executor import RunSpec, execute_spec
 from repro.core.experiment import (
     MachineStats,
     prepare_workload,

@@ -4,18 +4,17 @@ import pickle
 
 import pytest
 
-from repro.core.engine import (
+from repro.core.executor import (
     EngineError,
     EngineRun,
     MachineConfig,
     ProgressEvent,
     RunSpec,
     execute_spec,
-    execute_spec_sharded,
     parallel_map,
-    run_specs,
     shard_boundaries,
 )
+from repro.core.scheduler import execute_spec_sharded, run_specs
 from repro.core.histogram_io import result_to_json
 from repro.core.monitor import UPCMonitor
 from repro.cpu import VAX780
@@ -202,6 +201,39 @@ class TestProgressAndFailures:
         errored = [e for e in events if e.kind == "error"]
         assert len(errored) == 1 and errored[0].name == "doomed"
 
+    def test_sequential_sweep_stays_in_process_with_back_to_back_retries(
+        self, monkeypatch
+    ):
+        import repro.core.executor as executor_module
+        from repro.core.resilience import ResiliencePolicy, RetryPolicy
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("jobs=1 must not build a process pool")
+
+        executed = []
+        real = executor_module.execute_spec
+
+        def recording(spec):
+            executed.append(spec.name)
+            return real(spec)
+
+        monkeypatch.setattr(executor_module, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(executor_module, "execute_spec", recording)
+        specs = [
+            RunSpec(workload="no_such_workload", label="doomed", **SMALL),
+            RunSpec(workload="timesharing_light", **SMALL),
+        ]
+        policy = ResiliencePolicy(
+            retry=RetryPolicy(max_attempts=2), on_error="collect",
+            sleep=lambda seconds: None,
+        )
+        sweep = run_specs(specs, jobs=1, policy=policy)
+        assert executed == ["doomed", "doomed", "timesharing_light"]
+        assert sweep.report.retries == 1 and not sweep.report.degraded
+        (failure,) = sweep.report.failures
+        assert (failure.name, failure.attempts) == ("doomed", 2)
+        assert sweep.runs[1].manifest.attempts == 1
+
     def test_progress_event_is_frozen(self):
         event = ProgressEvent("start", 0, 1, "x")
         with pytest.raises(Exception):
@@ -305,7 +337,7 @@ class TestExecuteSpecSharded:
         # and the merge is still bit-identical.  Structural proof: with
         # every start snapshot cached, the engine must never build a
         # machine from scratch, so prepare_workload is poisoned.
-        import repro.core.engine as engine_module
+        import repro.core.scheduler as scheduler_module
         from repro.core.runcache import RunCache
 
         spec = RunSpec(workload="timesharing_light", **SMALL)
@@ -318,7 +350,7 @@ class TestExecuteSpecSharded:
                 "means the cache was bypassed"
             )
 
-        monkeypatch.setattr(engine_module, "prepare_workload", _must_not_rebuild)
+        monkeypatch.setattr(scheduler_module, "prepare_workload", _must_not_rebuild)
         halved = execute_spec_sharded(spec, shards=2, cache=cache)
         _assert_bit_identical(halved, reference_run)
         assert halved.shard_count == 2

@@ -14,7 +14,7 @@ import pickle
 
 import pytest
 
-from repro.core.engine import EngineError
+from repro.core.executor import EngineError
 
 
 def _specimen():

@@ -11,12 +11,8 @@ import os
 
 import pytest
 
-from repro.core.engine import (
-    EngineError,
-    RunSpec,
-    execute_spec_sharded,
-    run_specs,
-)
+from repro.core.executor import EngineError, RunSpec
+from repro.core.scheduler import execute_spec_sharded, run_specs
 from repro.core.resilience import (
     ResiliencePolicy,
     RetryPolicy,
@@ -242,14 +238,15 @@ class TestShardedFailureDiagnostics:
         assert 'File "' in message and "faults.py" in message
 
     def test_worker_traceback_and_cached_status_in_error(self, tmp_path):
-        from repro.core.engine import _shard_cache_keys, shard_boundaries
+        from repro.core.cache_resolution import shard_cache_keys
+        from repro.core.executor import shard_boundaries
 
         spec = RunSpec(workload="timesharing_light", **SMALL)
         cache = RunCache(str(tmp_path / "cache"))
         execute_spec_sharded(spec, shards=3, jobs=1, cache=cache)
         # evict one finished shard so the warm run must recompute it
         boundaries = shard_boundaries(spec.instructions, 3)
-        _, shard_keys, _ = _shard_cache_keys(spec, boundaries)
+        _, shard_keys, _ = shard_cache_keys(spec, boundaries)
         os.unlink(cache._object_path(shard_keys[1]))
         plan = plan_with(
             tmp_path,

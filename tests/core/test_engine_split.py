@@ -1,65 +1,29 @@
-"""The engine split: a thin facade over three real layers.
+"""The engine's three layers: executor, cache resolution, scheduler.
 
-``repro.core.engine`` used to be a 1300-line monolith; it is now a
-re-export facade over ``executor`` / ``cache_resolution`` /
-``scheduler``.  These tests pin the split's contract: the facade stays
-thin, every historical import keeps working, the layering is acyclic,
-and the live ``prepare_workload`` patch seam still intercepts fresh
-builds triggered anywhere in the layers.
+``repro.core.executor`` runs one unit of work, ``repro.core.cache_resolution``
+knows what is already banked, and ``repro.core.scheduler`` decides what
+runs.  These tests pin the layering (the lower layers never import the
+scheduler) and the live ``prepare_workload`` patch seam that fresh
+builds in the sharded chain go through.
 """
 
 import subprocess
 import sys
 
-import repro.core.engine as engine
-
-
-class TestFacadeShape:
-    def test_facade_stays_thin(self):
-        # The acceptance bar for the split: engine.py is a facade, not a
-        # place where orchestration logic quietly reaccumulates.
-        with open(engine.__file__) as handle:
-            assert len(handle.readlines()) <= 300
-
-    def test_all_exports_resolve(self):
-        for name in engine.__all__:
-            assert getattr(engine, name) is not None
-
-    def test_historical_surface(self):
-        # Every name the rest of the repo (and its tests) import from
-        # the engine, public and private spellings alike.
-        for name in (
-            "EngineError", "EngineRun", "MachineConfig", "ProgressCallback",
-            "ProgressEvent", "RunSpec", "ShardResult", "execute_spec",
-            "execute_spec_sharded", "parallel_map", "prepare_workload",
-            "run_specs", "shard_boundaries", "Scheduler",
-            "_execute_shard_task", "_execute_spec_guarded",
-            "_load_cached_snapshot", "_shard_cache_keys", "_store_shard",
-            "_store_boundary_snapshot",
-        ):
-            assert hasattr(engine, name), name
-
-    def test_layers_own_their_pieces(self):
-        assert engine.execute_spec.__module__ == "repro.core.executor"
-        assert engine.store_shard.__module__ == "repro.core.cache_resolution"
-        assert engine.run_specs.__module__ == "repro.core.scheduler"
-        assert engine.Scheduler.__module__ == "repro.core.scheduler"
+import repro.core.scheduler as scheduler
+from repro.core.executor import RunSpec
 
 
 class TestLayering:
     def test_layers_import_without_the_facade(self):
-        # The layers must not need the facade: importing any one of them
-        # in a fresh interpreter must not pull repro.core.engine in
-        # (only the facade depends on the layers, never the reverse).
-        for module in (
-            "repro.core.executor",
-            "repro.core.cache_resolution",
-            "repro.core.scheduler",
-        ):
+        # Only the scheduler depends on the layers below it, never the
+        # reverse: importing the executor or the cache-resolution layer
+        # in a fresh interpreter must not pull the scheduler in.
+        for module in ("repro.core.executor", "repro.core.cache_resolution"):
             probe = (
                 "import sys\n"
                 "import {}\n"
-                "assert 'repro.core.engine' not in sys.modules, 'cycle'\n"
+                "assert 'repro.core.scheduler' not in sys.modules, 'cycle'\n"
             ).format(module)
             subprocess.run(
                 [sys.executable, "-c", probe], check=True, timeout=120
@@ -67,20 +31,21 @@ class TestLayering:
 
     def test_prepare_workload_seam_is_live(self, monkeypatch):
         # The sharded chain opener resolves prepare_workload through the
-        # facade at call time; patching the facade must intercept it.
+        # scheduler module at call time; patching it there must intercept
+        # every fresh build.
         calls = []
-        real = engine.prepare_workload
+        real = scheduler.prepare_workload
 
         def spy(*args, **kwargs):
             calls.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(engine, "prepare_workload", spy)
-        run = engine.execute_spec_sharded(
-            engine.RunSpec(
+        monkeypatch.setattr(scheduler, "prepare_workload", spy)
+        run = scheduler.execute_spec_sharded(
+            RunSpec(
                 workload="educational", instructions=600, warmup_instructions=100
             ),
             shards=2,
         )
-        assert calls, "the facade seam was bypassed"
+        assert calls, "the prepare_workload seam was bypassed"
         assert run.result.instructions > 0

@@ -12,12 +12,15 @@ execution that actually happened.
 """
 
 import copy
+import os
 import threading
 
 import pytest
 
-import repro.core.scheduler as scheduler_module
-from repro.core.engine import RunSpec, Scheduler, execute_spec
+import repro.core.executor as executor_module
+from repro.core.cache_resolution import run_cache_key
+from repro.core.executor import RunSpec, execute_spec
+from repro.core.scheduler import Scheduler
 from repro.core.runcache import RunCache
 from repro.obs.metrics import MetricsRegistry
 
@@ -40,13 +43,13 @@ def metrics():
 class TestBatchDedupe:
     def test_duplicate_specs_execute_once(self, metrics, monkeypatch):
         executions = []
-        real = scheduler_module.execute_spec
+        real = executor_module.execute_spec
 
         def counting(spec):
             executions.append(spec.name)
             return real(spec)
 
-        monkeypatch.setattr(scheduler_module, "execute_spec", counting)
+        monkeypatch.setattr(executor_module, "execute_spec", counting)
         scheduler = Scheduler(metrics=metrics)
         runs = scheduler.run_specs([_spec(), _spec(), _spec(seed_offset=1)])
         assert executions == ["educational", "educational"]  # dup collapsed
@@ -98,7 +101,7 @@ class TestResultIndex:
             run.spec = spec
             return run
 
-        monkeypatch.setattr(scheduler_module, "execute_spec", fake)
+        monkeypatch.setattr(executor_module, "execute_spec", fake)
         scheduler = Scheduler(metrics=metrics, result_index_size=2)
         for offset in (1, 2, 3):
             scheduler.run_specs([_spec(seed_offset=offset)])
@@ -130,7 +133,7 @@ class TestInflightAttach:
             assert release.wait(30)
             return copy.deepcopy(golden)
 
-        monkeypatch.setattr(scheduler_module, "execute_spec", gated)
+        monkeypatch.setattr(executor_module, "execute_spec", gated)
         scheduler = Scheduler(metrics=metrics)
         results = {}
 
@@ -165,7 +168,7 @@ class TestInflightAttach:
         assert scheduler.stats_snapshot()["inflight"] == 0
 
     def test_owner_failure_releases_waiters_with_error(self, metrics, monkeypatch):
-        from repro.core.engine import EngineError
+        from repro.core.executor import EngineError
 
         entered = threading.Event()
         release = threading.Event()
@@ -175,7 +178,7 @@ class TestInflightAttach:
             assert release.wait(30)
             raise RuntimeError("injected execution failure")
 
-        monkeypatch.setattr(scheduler_module, "execute_spec", failing)
+        monkeypatch.setattr(executor_module, "execute_spec", failing)
         scheduler = Scheduler(metrics=metrics)
         failures = {}
 
@@ -217,6 +220,35 @@ class TestRunCacheResolution:
         assert resolved.wall_seconds == 0.0
         assert resolved.manifest.resumed_from is not None
         assert resolved.manifest.wall_seconds == 0.0
+
+    def _rotated_out(self, tmp_path):
+        """A scheduler whose one-entry index has rotated ``first`` out,
+        leaving it banked only in the run cache."""
+        cache = RunCache(str(tmp_path / "cache"))
+        scheduler = Scheduler(cache=cache, run_resolution=True, result_index_size=1)
+        first = scheduler.run_specs([_spec()])[0]
+        scheduler.run_specs([_spec(seed_offset=1)])
+        assert scheduler.stats_snapshot()["result_index"] == 1
+        return scheduler, cache, first.manifest.config_hash, first
+
+    def test_result_for_falls_back_to_the_run_cache(self, tmp_path):
+        scheduler, _, digest, first = self._rotated_out(tmp_path)
+        fetched = scheduler.result_for(digest)
+        assert fetched is not None and fetched is not first
+        assert fetched.histogram == first.histogram
+        assert fetched.manifest.config_hash == digest
+
+    def test_result_for_quarantines_a_garbled_run(self, tmp_path):
+        scheduler, cache, digest, _ = self._rotated_out(tmp_path)
+        # Digest-valid garbage: no .sum sidecar, so only the unpickle
+        # step can notice the damage.
+        path = cache._object_path(run_cache_key(digest))
+        with open(path, "wb") as handle:
+            handle.write(b"not a pickled run")
+        os.unlink(path + ".sum")
+        assert scheduler.result_for(digest) is None
+        assert cache.quarantined_objects() == 1
+        assert not cache.has(run_cache_key(digest))
 
     def test_no_run_banking_without_opt_in(self, tmp_path):
         cache = RunCache(str(tmp_path / "cache"))

@@ -25,7 +25,7 @@ import os
 
 import pytest
 
-from repro.core.engine import RunSpec, execute_spec
+from repro.core.executor import RunSpec, execute_spec
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden_educational.json")
 UPDATE_ENV = "REPRO_UPDATE_GOLDEN"

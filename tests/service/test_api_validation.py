@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.engine import RunSpec
+from repro.core.executor import RunSpec
 from repro.service import api
 
 

@@ -9,7 +9,12 @@ import json
 
 import pytest
 
-from repro.core.engine import EngineError, MachineConfig, RunSpec, execute_spec
+from repro.core.executor import (
+    EngineError,
+    MachineConfig,
+    RunSpec,
+    execute_spec,
+)
 from repro.service import api
 from repro.service.client import ClientError, ServiceClient
 from repro.service.server import ExperimentService

@@ -265,7 +265,7 @@ class TestCrossProcess:
     def test_times_budget_shared_across_pool_workers(self, tmp_path):
         # Four forked workers race the same 2-firing budget: exactly two
         # must observe the fault, whatever the interleaving.
-        from repro.core.engine import parallel_map
+        from repro.core.executor import parallel_map
 
         plan = plan_with(
             tmp_path, FaultRule(site="worker", action="raise", times=2)
