@@ -60,10 +60,6 @@ Commands
     surface: simulated counters, derived gauges, wall-clock
     self-profiling, replay-compiler diagnostics, and per-run
     provenance manifests.
-``bench``
-    Run the warm/cold composite benchmark in-process and print the
-    instructions/second delta against the committed
-    ``BENCH_engine.json``.
 
 Diagnostics go to stderr through :mod:`repro.obs.log`; the threshold is
 ``-v``/``--verbose`` (debug), ``-q``/``--quiet`` (warnings only), or the
@@ -418,6 +414,17 @@ def _submit_specs(args):
     ]
 
 
+def _client_failure(log, url: str, error: Exception) -> int:
+    """Log a failed service request as one line; the exit status."""
+    if isinstance(error, OSError):
+        # A refused or lost connection, or ``ServiceClient.wait``'s
+        # TimeoutError.
+        log.error("service request failed", url=url, error=str(error))
+    else:
+        log.error(str(error))
+    return 1
+
+
 def cmd_submit(args) -> int:
     import json
 
@@ -432,12 +439,17 @@ def cmd_submit(args) -> int:
         log.error("submission refused", status=error.status)
         log.error(str(error))
         return 1
+    except OSError as error:
+        return _client_failure(log, args.url, error)
     job_id = accepted["job"]
     log.info("job accepted", job=job_id, specs=len(specs))
     if not args.wait:
         emit(json.dumps(accepted, indent=2))
         return 0
-    record = client.wait(job_id, timeout=args.timeout)
+    try:
+        record = client.wait(job_id, timeout=args.timeout)
+    except (ClientError, OSError) as error:
+        return _client_failure(log, args.url, error)
     if args.json:
         emit(json.dumps(record, indent=2, sort_keys=True))
     if record["state"] != "done":
@@ -507,9 +519,8 @@ def cmd_poll(args) -> int:
             if args.wait
             else client.job(args.job)
         )
-    except ClientError as error:
-        log.error(str(error))
-        return 1
+    except (ClientError, OSError) as error:
+        return _client_failure(log, args.url, error)
     emit(json.dumps(record, indent=2, sort_keys=True))
     return 0 if record["state"] != "failed" else 1
 
@@ -921,106 +932,6 @@ def cmd_validate(args) -> int:
     return 0 if not failed else 1
 
 
-def cmd_bench(args) -> int:
-    """Run the warm/cold engine benchmark in-process and print the
-    instructions/second delta against the committed BENCH_engine.json."""
-    import json
-    import os
-    import time
-
-    from repro.core.executor import RunSpec
-    from repro.core.scheduler import run_specs
-    from repro.core.experiment import composite
-    from repro.obs.metrics import MetricsRegistry
-    from repro.workloads import COMPOSITE_WORKLOAD_NAMES
-
-    log = get_logger("repro.bench")
-
-    committed = None
-    if os.path.exists(args.baseline):
-        with open(args.baseline) as handle:
-            committed = json.load(handle)
-    else:
-        log.warn("no committed baseline found", path=args.baseline)
-
-    instructions = args.instructions
-    warmup = args.warmup
-    if committed is not None:
-        config = committed.get("config", {})
-        if args.instructions is None:
-            instructions = config.get("instructions_per_workload")
-        if args.warmup is None:
-            warmup = config.get("warmup_instructions")
-    instructions = instructions or 4_000
-    warmup = warmup or 1_000
-
-    def measure():
-        specs = [
-            RunSpec(workload=name, instructions=instructions, warmup_instructions=warmup)
-            for name in COMPOSITE_WORKLOAD_NAMES
-        ]
-        started = time.perf_counter()
-        runs = run_specs(specs, jobs=1)
-        wall = time.perf_counter() - started
-        return composite([run.result for run in runs]), wall, runs
-
-    log.info(
-        "benchmarking composite",
-        instructions=instructions,
-        warmup=warmup,
-        trials=args.trials,
-    )
-    # The first composite in a fresh interpreter is the cold figure
-    # (``python -m repro bench`` is exactly that); the best of the
-    # remaining trials is the warm figure.
-    cold_result, cold_wall, _ = measure()
-    measured = cold_result.instructions
-    warm_wall, warm_runs = None, None
-    for _ in range(args.trials):
-        _, wall, runs = measure()
-        if warm_wall is None or wall < warm_wall:
-            warm_wall, warm_runs = wall, runs
-
-    def show(label, ips, committed_ips):
-        if committed_ips:
-            delta = (ips - committed_ips) / committed_ips * 100.0
-            emit(
-                "{:<6} {:>9.0f} instr/s   committed {:>9.0f}   {:+6.1f}%".format(
-                    label, ips, committed_ips, delta
-                )
-            )
-        else:
-            emit("{:<6} {:>9.0f} instr/s   (no committed baseline)".format(label, ips))
-
-    sequential = (committed or {}).get("sequential", {})
-    emit(
-        "composite: {} workloads x {} instructions (warmup {})".format(
-            len(COMPOSITE_WORKLOAD_NAMES), instructions, warmup
-        )
-    )
-    show("cold", measured / cold_wall, sequential.get("cold_instructions_per_second"))
-    show("warm", measured / warm_wall, sequential.get("warm_instructions_per_second"))
-
-    registry = MetricsRegistry()
-    for run in warm_runs:
-        if run.metrics:
-            registry.merge_snapshot(run.metrics)
-    from repro.core.compile import stats_from_snapshot
-
-    compile_stats = stats_from_snapshot(registry.snapshot())
-    if compile_stats is not None and compile_stats.get("active"):
-        emit(
-            "compiled hot path: {:.1%} of instructions replayed "
-            "({} JIT hits, {} misses, {} records compiled)".format(
-                compile_stats.get("fast_instruction_fraction", 0.0),
-                compile_stats.get("jit_hits", 0),
-                compile_stats.get("jit_misses", 0),
-                compile_stats.get("records_compiled", 0),
-            )
-        )
-    return 0
-
-
 def cmd_stats(args) -> int:
     import json
 
@@ -1348,7 +1259,7 @@ def build_parser() -> argparse.ArgumentParser:
     submit_parser.add_argument(
         "--wait", action="store_true", help="poll until the job finishes"
     )
-    submit_parser.add_argument("--timeout", type=float, default=600.0)
+    submit_parser.add_argument("--timeout", type=_positive_seconds, default=600.0)
     submit_parser.add_argument(
         "--check", action="store_true",
         help="with --wait: fetch each result and evaluate the counter "
@@ -1369,7 +1280,7 @@ def build_parser() -> argparse.ArgumentParser:
     poll_parser.add_argument(
         "--wait", action="store_true", help="poll until the job finishes"
     )
-    poll_parser.add_argument("--timeout", type=float, default=600.0)
+    poll_parser.add_argument("--timeout", type=_positive_seconds, default=600.0)
     poll_parser.add_argument(
         "--stats", action="store_true",
         help="print GET /stats (dedupe counters, index occupancy) instead",
@@ -1391,7 +1302,7 @@ def build_parser() -> argparse.ArgumentParser:
     opcode_parser.add_argument("workload", type=_workload)
     opcode_parser.add_argument("--instructions", type=_positive_int, default=10_000)
     opcode_parser.add_argument("--warmup", type=_non_negative_int, default=2_000)
-    opcode_parser.add_argument("--top", type=int, default=15)
+    opcode_parser.add_argument("--top", type=_positive_int, default=15)
     opcode_parser.set_defaults(func=cmd_opcodes)
 
     sub.add_parser("listing", help="control-store layout").set_defaults(func=cmd_listing)
@@ -1414,7 +1325,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace_parser.add_argument(
         "--capacity",
-        type=int,
+        type=_positive_int,
         default=262_144,
         help="ring-buffer size; older events beyond it are dropped",
     )
@@ -1450,7 +1361,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     query_parser.add_argument(
         "--capacity",
-        type=int,
+        type=_positive_int,
         default=1_048_576,
         help="capture ring size for --workload runs",
     )
@@ -1479,7 +1390,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     check_parser.add_argument(
         "--capacity",
-        type=int,
+        type=_positive_int,
         default=1_048_576,
         help="tracer ring size for --trace runs (a ring that drops events "
         "skips the trace identities)",
@@ -1521,33 +1432,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true", help="emit the reports as JSON"
     )
     validate_parser.set_defaults(func=cmd_validate)
-
-    bench_parser = sub.add_parser(
-        "bench",
-        help="warm/cold composite benchmark vs the committed BENCH_engine.json",
-    )
-    bench_parser.add_argument(
-        "--instructions",
-        type=_positive_int,
-        default=None,
-        help="instructions per workload (default: the committed config)",
-    )
-    bench_parser.add_argument(
-        "--warmup",
-        type=_non_negative_int,
-        default=None,
-        help="warmup instructions (default: the committed config)",
-    )
-    bench_parser.add_argument(
-        "--trials", type=_positive_int, default=2,
-        help="warm trials (best one reported)",
-    )
-    bench_parser.add_argument(
-        "--baseline",
-        default="BENCH_engine.json",
-        help="committed benchmark report to diff against",
-    )
-    bench_parser.set_defaults(func=cmd_bench)
 
     stats_parser = sub.add_parser(
         "stats", help="metrics + provenance for one workload (or the composite)"

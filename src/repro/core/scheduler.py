@@ -7,7 +7,7 @@ this module decides.  Two entry shapes share one orchestration path:
 
 * the module functions :func:`run_specs` and
   :func:`execute_spec_sharded` — a plain sweep with no deduplication
-  (the CLI ``sweep``, ``stats`` and ``bench`` commands call
+  (the CLI ``sweep`` and ``stats`` commands call
   :func:`run_specs` directly);
 * the :class:`Scheduler` — the multi-client front door used by the
   ``composite`` command and the experiment service.  It deduplicates,
@@ -113,6 +113,12 @@ def run_specs(
     the partial report when the policy names a path, and re-raises as
     :class:`~repro.core.resilience.SweepInterrupted`.
     """
+    return _run_guarded(specs, _execute_spec_guarded, jobs, progress, policy)
+
+
+def _run_guarded(specs, execute, jobs, progress, policy):
+    """:func:`run_specs` with the guarded per-spec callable ``execute``
+    (``spec -> ("ok", run)`` or ``("error", name, traceback)``)."""
     from repro.core.resilience import (
         FailureReport,
         ResiliencePolicy,
@@ -179,7 +185,7 @@ def run_specs(
     tasks = [(index, spec) for index, spec in enumerate(specs)]
     try:
         payloads, failures, stats = _run_pool_tasks(
-            _execute_spec_guarded, tasks, workers, policy, describe,
+            execute, tasks, workers, policy, describe,
             on_start=on_start, on_done=on_done, on_retry=on_retry,
         )
     except SweepInterrupted as stop:
@@ -827,45 +833,39 @@ class Scheduler:
         """The one orchestration path that actually executes work.
 
         Unsharded sweeps go through :func:`run_specs` (pool or
-        sequential); ``shards > 1`` runs each spec through
-        :func:`execute_spec_sharded` with the composite's historical
-        collect/raise semantics.  Both shapes return the
-        :func:`run_specs` contract: a runs list, or a
+        sequential); ``shards > 1`` runs each spec in-process through
+        :func:`execute_spec_sharded` (which fans its own shards out
+        over ``jobs``), under the same retry loop.  Progress events
+        stay shard-level.  Both shapes return the :func:`run_specs`
+        contract: a runs list, or a
         :class:`~repro.core.resilience.SweepResult` in collect mode."""
         if self.shards <= 1:
             return run_specs(specs, jobs=self.jobs, progress=notify, policy=policy)
 
-        from repro.core.resilience import FailureReport, SpecFailure, SweepResult
+        failed: Dict[str, EngineError] = {}
 
-        total = len(specs)
-        runs: List[Optional[EngineRun]] = [None] * total
-        report = FailureReport(total=total)
-        for index, spec in enumerate(specs):
+        def execute(spec: RunSpec) -> Tuple:
             try:
-                runs[index] = execute_spec_sharded(
-                    spec, shards=self.shards, jobs=self.jobs, cache=self.cache,
-                    progress=notify, policy=policy,
+                return (
+                    "ok",
+                    execute_spec_sharded(
+                        spec, shards=self.shards, jobs=self.jobs, cache=self.cache,
+                        progress=notify, policy=policy,
+                    ),
                 )
-            except KeyboardInterrupt:
-                raise
             except EngineError as error:
-                if policy.on_error != "collect":
-                    raise
-                report.failures.append(
-                    SpecFailure(
-                        name=spec.name,
-                        index=index,
-                        attempts=1,
-                        kind="error",
-                        error=str(error).splitlines()[0],
-                        worker_traceback=error.worker_traceback,
-                    )
-                )
-        report.completed = [run.spec.name for run in runs if run is not None]
-        if policy.on_error == "collect":
-            policy.record_report(report)
-            return SweepResult(runs=runs, report=report)
-        return runs
+                failed[spec.name] = error
+                return ("error", spec.name, error.worker_traceback)
+            except Exception:
+                failed.pop(spec.name, None)
+                return ("error", spec.name, traceback.format_exc())
+
+        try:
+            return _run_guarded(specs, execute, jobs=1, progress=None, policy=policy)
+        except EngineError as error:
+            # Raise mode: surface the sharded run's own error, which
+            # also carries the per-shard ``shard_status`` map.
+            raise failed.get(error.spec_name, error)
 
     @staticmethod
     def _failure_error(spec: RunSpec, report) -> EngineError:

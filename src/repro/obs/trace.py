@@ -16,8 +16,9 @@ Design constraints, in order:
    without a tracer stores ``None`` and every instrumentation site is a
    single ``is not None`` test on a locally bound attribute, placed on
    per-instruction or per-event paths — never on the per-microcycle
-   path.  The perf gate in ``benchmarks/perf/bench_engine.py`` asserts
-   the tracing-off overhead on the BENCH_engine workload stays ≤ 2%.
+   path.  Measured once (2026-10-17, a 20 000-instruction composite,
+   bare and instrumented arms interleaved), the tracing-off overhead
+   was within noise (−0.6%); no gate enforces it.
 3. **Bounded.**  The ring keeps the most recent ``capacity`` events and
    counts what it dropped; a runaway trace cannot exhaust memory.
 

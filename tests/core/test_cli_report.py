@@ -187,7 +187,12 @@ class TestCLIBoundary:
             ["serve", "--retries", "-1"],
             ["sweep", "educational", "cache_kb", "8", "--jobs", "0"],
             ["stats", "--jobs", "0"],
-            ["bench", "--trials", "0"],
+            ["trace", "educational", "--capacity", "0"],
+            ["query", "count events", "--capacity", "-1"],
+            ["check", "--capacity", "0"],
+            ["opcodes", "educational", "--top", "-3"],
+            ["submit", "educational", "--timeout", "nan"],
+            ["poll", "--timeout", "0"],
         ],
     )
     def test_count_flags_are_range_checked(self, capsys, argv):
@@ -199,3 +204,47 @@ class TestCLIBoundary:
             ["composite", "--jobs", "1", "--retries", "0", "--spec-timeout", "0.5"]
         )
         assert (args.jobs, args.retries, args.spec_timeout) == (1, 0, 0.5)
+
+
+class TestServiceClientFailures:
+    """A client that cannot reach the service ends in one error line."""
+
+    @staticmethod
+    def _closed_port_url():
+        import socket
+
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        return "http://127.0.0.1:{}".format(port)
+
+    @staticmethod
+    def _one_error_line(capsys):
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if "ERROR" in line]
+        assert len(errors) == 1, err
+        return errors[0]
+
+    @pytest.mark.parametrize(
+        "argv", [["submit", "educational"], ["poll"], ["poll", "--stats"]]
+    )
+    def test_closed_port_is_one_line_error(self, capsys, argv):
+        url = self._closed_port_url()
+        assert main(argv + ["--url", url]) == 1
+        line = self._one_error_line(capsys)
+        assert "service request failed" in line and url in line
+
+    def test_wait_past_the_timeout_is_one_line_error(self, capsys, monkeypatch):
+        from repro.service.client import ServiceClient
+
+        def never_finishes(self, job_id, timeout=600.0, poll=0.05):
+            raise TimeoutError("job {} still running after {}s".format(job_id, timeout))
+
+        monkeypatch.setattr(
+            ServiceClient, "submit_sweep", lambda self, specs, on_error: {"job": "j1"}
+        )
+        monkeypatch.setattr(ServiceClient, "wait", never_finishes)
+        assert main(["submit", "educational", "--wait", "--timeout", "0.5"]) == 1
+        line = self._one_error_line(capsys)
+        assert "still running after 0.5s" in line

@@ -13,8 +13,8 @@ import os
 import pytest
 
 from repro.core.cache_resolution import shard_cache_keys
-from repro.core.executor import RunSpec, shard_boundaries
-from repro.core.scheduler import execute_spec_sharded, run_specs
+from repro.core.executor import EngineError, RunSpec, shard_boundaries
+from repro.core.scheduler import Scheduler, execute_spec_sharded, run_specs
 from repro.core.resilience import ResiliencePolicy, RetryPolicy
 from repro.core.runcache import RunCache
 from repro.obs.metrics import MetricsRegistry, resilience_counters
@@ -170,3 +170,41 @@ class TestShardedSelfHealing:
             )
         assert payload_of(recovered) == payload_of(golden)
         assert recovered.manifest.repaired_shards >= 1
+
+
+class TestShardedSchedulerRetries:
+    def test_sharded_sweep_honours_the_retry_budget(self, tmp_path):
+        # Each measurement fault fails one whole sharded attempt; the
+        # policy's retries must run the spec again, as they do for
+        # unsharded sweeps.
+        golden = execute_spec_sharded(SPEC, shards=2, jobs=1)
+        plan = FaultPlan(
+            rules=[FaultRule(site="shard.measure", action="raise", times=2)],
+            state_dir=str(tmp_path / "faults"),
+        )
+        policy = ResiliencePolicy.from_options(
+            retries=3, metrics=resilience_counters(MetricsRegistry())
+        )
+        events = []
+        with plan.active():
+            runs = Scheduler(shards=2).run_specs(
+                [SPEC], progress=events.append, policy=policy
+            )
+        assert payload_of(runs[0]) == payload_of(golden)
+        assert runs[0].manifest.attempts == 3
+        assert policy.metrics.snapshot()["counters"]["engine.retries"] == 2
+        # progress stays shard-level
+        assert events and all(event.total == 2 for event in events)
+        assert all("[shard " in event.name for event in events)
+
+    def test_sharded_sweep_without_retries_still_raises(self, tmp_path):
+        plan = FaultPlan(
+            rules=[FaultRule(site="shard.measure", action="raise", times=2)],
+            state_dir=str(tmp_path / "faults"),
+        )
+        with plan.active():
+            with pytest.raises(EngineError) as excinfo:
+                Scheduler(shards=2).run_specs([SPEC])
+        assert excinfo.value.spec_name == SPEC.name
+        assert "per-shard status" in str(excinfo.value)
+        assert set(excinfo.value.shard_status) == {0, 1}

@@ -92,7 +92,7 @@ class TestParallelFanOut:
     Structural replacement for the old wall-clock speedup assertion,
     which could only run on >= 4 free cores and therefore skipped
     everywhere that mattered; process identity is deterministic on any
-    machine, and wall-clock claims live in benchmarks/perf/bench_engine.py
+    machine, and wall-clock claims live in the benchmark, userbench/
     (and TestShardedRerunSpeedup below, which does not need spare cores).
     """
 
