@@ -7,9 +7,10 @@ execute, against ``REPRO_NO_COMPILE=1``, where the interpreter does.
 Each call starts from cold record caches as a fresh ``repro run`` does.
 The two arms run as interleaved rounds, the order alternating per
 round.  The smoke fails unless every round's two results are
-bit-identical, the median replay throughput clears
-``SMOKE_MIN_WARM_IPS``, and the median per-round replay/interpreted
-ratio clears ``SMOKE_MIN_REPLAY_SPEEDUP``.
+bit-identical and the median per-round replay/interpreted ratio clears
+``SMOKE_MIN_REPLAY_SPEEDUP``.  There is no absolute throughput floor:
+a runner's speed moves both arms, and the ratio is what separates a
+replay that works from one that does not.
 
 Everything else about performance is measured by ``userbench/`` (see
 ``BENCHMARK.json``); bit-identity across jobs, shards and tracing is
@@ -32,12 +33,6 @@ USER_PATH_WARMUP = 12_000
 #: Interleaved rounds per arm.
 SMOKE_ROUNDS = 5
 
-#: Floor: median replay-arm throughput over the rounds, in measured
-#: instructions per wall second of the whole call.  Ten interleaved
-#: rounds on a 2-vCPU container (recorded in CHANGES.md, "One compiled
-#: tier") put the replay arm's lower quartile at 13 083 instr/s; less
-#: the ±15% run-to-run wall-clock noise of that container, rounded down.
-SMOKE_MIN_WARM_IPS = 11_000
 #: Floor: the median per-round replay/interpreted throughput ratio.
 #: Same ten rounds: lower quartile 1.161 less the full spread of the
 #: per-round ratios (1.123-1.236, 0.113).  Replay that silently stops
@@ -114,14 +109,6 @@ def main() -> int:
     replay_ips = statistics.median(row[0] for row in rows)
     interpreted_ips = statistics.median(row[1] for row in rows)
     speedup = statistics.median(row[0] / row[1] for row in rows)
-    if replay_ips < SMOKE_MIN_WARM_IPS:
-        print(
-            "FAIL: replay throughput {:.0f} ips below the {} floor".format(
-                replay_ips, SMOKE_MIN_WARM_IPS
-            ),
-            file=sys.stderr,
-        )
-        return 1
     if speedup < SMOKE_MIN_REPLAY_SPEEDUP:
         print(
             "FAIL: replay is {:.2f}x the interpreted path, below the {:.2f}x "

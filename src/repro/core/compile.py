@@ -2,7 +2,7 @@
 
 The interpreted EBOX charges every microcycle one ``_tick`` at a time:
 each simulated cycle is a Python call chain (slot lookup, monitor
-strobe, IB background cycle) even though the vast majority of
+strobe, prefetcher check) even though the vast majority of
 instructions take the exact same non-stalled path through the exact
 same microroutines every time they execute.  This module removes that
 per-cycle interpretation the way nanoBench/uops.info remove measurement
@@ -65,6 +65,7 @@ import os
 from dataclasses import dataclass, field
 from weakref import WeakKeyDictionary
 
+from repro.cpu.ibuffer import IB_CAPACITY
 from repro.cpu.operands import (
     IllegalSpecifier,
     OperandRef,
@@ -73,6 +74,7 @@ from repro.cpu.operands import (
 )
 from repro.isa.datatypes import DataType, f_floating_encode
 from repro.isa.opcodes import OPCODES, OpcodeGroup
+from repro.isa.registers import Reg
 from repro.isa.specifiers import (
     AccessType,
     AddressingMode,
@@ -86,11 +88,6 @@ from repro.ucode.microword import MicroSlot
 #: Environment switch: set to 1/true/yes/on to force the interpreted path.
 NO_COMPILE_ENV = "REPRO_NO_COMPILE"
 
-#: The IB's capacity; replay byte images may exceed it (see _MAX_IMAGE)
-#: because the I-stream lookahead verifies bytes the buffer has not
-#: accepted yet.
-_IB_CAPACITY = 8
-
 #: Cap on a record's byte image.  Instructions longer than the IB are
 #: verified via the lookahead and consume through ``_take_bytes``
 #: under-runs; beyond 16 bytes (three memory operands with long
@@ -102,6 +99,7 @@ _MAX_IMAGE = 16
 _RECORD_CACHE_CAP = 65_536
 
 _MASK32 = 0xFFFFFFFF
+_PC = Reg.PC.value
 
 _COMPUTE_A = MicroSlot.COMPUTE_A.value
 _COMPUTE_B = MicroSlot.COMPUTE_B.value
@@ -147,16 +145,6 @@ _EA_KIND = {
     AddressingMode.BYTE_RELATIVE_DEFERRED: EA_RELATIVE_DEFERRED,
     AddressingMode.WORD_RELATIVE_DEFERRED: EA_RELATIVE_DEFERRED,
     AddressingMode.LONG_RELATIVE_DEFERRED: EA_RELATIVE_DEFERRED,
-}
-
-_DTYPE_SIZE = {
-    DataType.BYTE: 1,
-    DataType.WORD: 2,
-    DataType.LONG: 4,
-    DataType.QUAD: 8,
-    DataType.F_FLOAT: 4,
-    DataType.PACKED: 1,
-    DataType.VARIABLE_FIELD: 4,
 }
 
 
@@ -534,8 +522,9 @@ class _Cursor:
 class _OpBuilder:
     """Accumulates replay ops, merging adjacent compatible charges.
 
-    Charge bursts merge when nothing interleaves: ``ib.run(a);
-    ib.run(b)`` ≡ ``ib.run(a+b)``, and histogram increments inside one
+    Charge bursts merge when nothing interleaves: advancing the clock
+    by ``a`` then ``b`` runs the prefetcher through the same events as
+    advancing it by ``a + b``, and histogram increments inside one
     burst commute.  Consumes never merge — each mirrors exactly one
     interpreter ``take``, because that is the granularity at which the
     IB can stall (stall cycles must land on that take's wait routine)
@@ -618,7 +607,7 @@ def compile_record(layout, raw, decode_overlap: bool):
     try:
         for position, spec in enumerate(opcode.operands):
             if spec.access is AccessType.BRANCH:
-                width = _DTYPE_SIZE[spec.dtype]
+                width = spec.dtype.ref_size
                 value = int.from_bytes(cursor.take(width), "little")
                 if value & (1 << (8 * width - 1)):
                     value -= 1 << (8 * width)
@@ -701,7 +690,7 @@ def _compile_specifier(replay, layout, position, spec, cursor, builder):
     template.mode = mode
     template.register = decoded.register
     template.extension = decoded.extension
-    template.size = _DTYPE_SIZE[spec.dtype]
+    template.size = spec.dtype.ref_size
     template.routine = routine
     template.row = "spec1" if is_first else "spec2_6"
     template.position_class = position_class
@@ -748,7 +737,7 @@ def _compile_specifier(replay, layout, position, spec, cursor, builder):
             if dtype is DataType.QUAD:
                 template.reg_quad = True
             else:
-                template.reg_mask = (1 << (8 * _DTYPE_SIZE[dtype])) - 1
+                template.reg_mask = (1 << (8 * dtype.ref_size)) - 1
         return template
 
     # Memory modes.
@@ -890,7 +879,7 @@ def _inflight_tail(ib, memory):
     longword and the VA lookahead continues from — or ``None`` when the
     pending value can no longer be proven to match memory.
     """
-    va = ib._pending_va
+    va = ib._fetch_va
     aligned = va & ~3
     pa = memory.tb.peek(aligned)
     if pa is None:
@@ -1008,8 +997,9 @@ def execute_record(record, ebox, start_va) -> bool:
     board = ebox._board
     collecting = board is not None and board._collecting
     counts = board._counts if collecting else None
-    ib_run = ebox._ib_run
-    regs = ebox.regs
+    # The register list itself (RegisterFile keeps one list for life):
+    # index and mask inline instead of paying read()/write() calls.
+    regs = ebox.regs._regs
     data_read = ebox.data_read
     redirects_before = ib.stats.redirects
 
@@ -1029,12 +1019,18 @@ def execute_record(record, ebox, start_va) -> bool:
             if collecting:
                 for bucket, count in op[2]:
                     counts[bucket] += count
-            cycles = op[1]
-            ebox.cycle_count += cycles
-            ib_run(cycles)
+            now = ebox.cycle_count + op[1]
+            ebox.cycle_count = now
+            if now >= ib.next_event:
+                ib.run(now)
         elif kind == OP_CONSUME:
             count = op[1]
-            if len(buf) >= count:
+            valid = len(buf)
+            if valid >= count:
+                # InstructionBuffer.try_consume without building the
+                # bytes: taking from a full buffer unpauses the prefetcher.
+                if valid >= IB_CAPACITY:
+                    ib.next_event = ebox.cycle_count + 2
                 del buf[:count]
                 ib._decode_va += count
             else:
@@ -1056,21 +1052,21 @@ def execute_record(record, ebox, start_va) -> bool:
                 ea_kind = template.ea_kind
                 register = template.register
                 if ea_kind == EA_DISPLACEMENT:
-                    address = (regs.read(register) + template.extension) & _MASK32
+                    address = (regs[register] + template.extension) & _MASK32
                 elif ea_kind == EA_REG_DEFERRED:
-                    address = regs.read(register)
+                    address = regs[register]
                 elif ea_kind == EA_AUTOINCREMENT:
-                    address = regs.read(register)
-                    regs.write(register, address + template.size)
+                    address = regs[register]
+                    regs[register] = (address + template.size) & _MASK32
                 elif ea_kind == EA_AUTODECREMENT:
-                    address = (regs.read(register) - template.size) & _MASK32
-                    regs.write(register, address)
+                    address = (regs[register] - template.size) & _MASK32
+                    regs[register] = address
                 elif ea_kind == EA_AUTOINCREMENT_DEFERRED:
-                    pointer = regs.read(register)
-                    regs.write(register, pointer + 4)
+                    pointer = regs[register]
+                    regs[register] = (pointer + 4) & _MASK32
                     address = data_read(pointer, 4, template.routine, template.row)
                 elif ea_kind == EA_DISPLACEMENT_DEFERRED:
-                    pointer = (regs.read(register) + template.extension) & _MASK32
+                    pointer = (regs[register] + template.extension) & _MASK32
                     address = data_read(pointer, 4, template.routine, template.row)
                 elif ea_kind == EA_RELATIVE:
                     address = (start_va + template.rel_partial) & _MASK32
@@ -1081,7 +1077,7 @@ def execute_record(record, ebox, start_va) -> bool:
                     address = data_read(pointer, 4, template.routine, template.row)
                 if template.is_indexed:
                     address = (
-                        address + regs.read(template.index_register) * template.size
+                        address + regs[template.index_register] * template.size
                     ) & _MASK32
                 value = None
                 if template.read_value:
@@ -1093,11 +1089,11 @@ def execute_record(record, ebox, start_va) -> bool:
                 value = template.value
                 if template.read_value:  # K_REGISTER with READ/MODIFY/VFIELD
                     if template.reg_quad:
-                        low = regs.read(template.register)
-                        high = regs.read((template.register + 1) & 0xF)
+                        low = regs[template.register]
+                        high = regs[(template.register + 1) & 0xF]
                         value = low | (high << 32)
                     else:
-                        value = regs.read(template.register) & template.reg_mask
+                        value = regs[template.register] & template.reg_mask
             operand = _NEW(OperandRef)
             operand.spec = template.spec
             operand.mode = template.mode
@@ -1117,9 +1113,10 @@ def execute_record(record, ebox, start_va) -> bool:
                 if collecting:
                     for bucket, count in op[2]:
                         counts[bucket] += count
-                cycles = op[1]
-                ebox.cycle_count += cycles
-                ib_run(cycles)
+                now = ebox.cycle_count + op[1]
+                ebox.cycle_count = now
+                if now >= ib.next_event:
+                    ib.run(now)
 
     ebox._merge_pending = record.merge_pending
     ebox._last_source_routine = record.last_source_routine
@@ -1131,7 +1128,7 @@ def execute_record(record, ebox, start_va) -> bool:
     # The handler may have swapped ebox.events (LDPCTX measurement
     # gating), exactly like the interpreter's live attribute read.
     ebox.events.instructions += 1
-    regs.pc = ib._decode_va
+    regs[_PC] = ib._decode_va & _MASK32
     ebox._merge_pending = False
     ebox._last_instruction_redirected = ib.stats.redirects != redirects_before
     return True

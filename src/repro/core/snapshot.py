@@ -43,7 +43,9 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 #: Bump when the snapshot payload or header layout changes shape.
-SNAPSHOT_VERSION = 1
+#: 2: the instruction buffer keeps one next-event cycle instead of a
+#: fill countdown, port cooldown and clock.
+SNAPSHOT_VERSION = 2
 
 #: Identifies a snapshot file/blob; the trailing byte is the format
 #: generation so even pre-header parsers fail loudly on a new one.

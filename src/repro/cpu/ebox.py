@@ -74,27 +74,6 @@ class IllegalInstruction(Exception):
     """An opcode byte with no table entry reached the decoder."""
 
 
-_DTYPE_SIZE = {
-    DataType.BYTE: 1,
-    DataType.WORD: 2,
-    DataType.LONG: 4,
-    DataType.QUAD: 8,
-    DataType.F_FLOAT: 4,
-    DataType.PACKED: 1,
-    DataType.VARIABLE_FIELD: 4,
-}
-
-_TABLE5_GROUP_ROW = {
-    OpcodeGroup.SIMPLE: "simple",
-    OpcodeGroup.FIELD: "field",
-    OpcodeGroup.FLOAT: "float",
-    OpcodeGroup.CALLRET: "callret",
-    OpcodeGroup.SYSTEM: "system",
-    OpcodeGroup.CHARACTER: "character",
-    OpcodeGroup.DECIMAL: "decimal",
-}
-
-
 class EBox:
     """The microcoded EBOX plus the I-Fetch and I-Decode stages it drives."""
 
@@ -145,19 +124,17 @@ class EBox:
     def _bind_transients(self) -> None:
         """(Re)create everything pickling drops.
 
-        Hot-path bindings (the monitor strobe, IB background cycle and
-        dispatch entry points are bound once instead of re-resolved
-        every cycle), the replay compiler's per-machine state, and the
-        tracer wiring.  Runs from ``__init__``, ``__setstate__`` and
-        ``set_tracer`` so fresh, restored and re-traced machines are
-        indistinguishable.
+        Hot-path bindings (the monitor strobe and dispatch entry points
+        are bound once instead of re-resolved every cycle), the replay
+        compiler's per-machine state, and the tracer wiring.  Runs from
+        ``__init__``, ``__setstate__`` and ``set_tracer`` so fresh,
+        restored and re-traced machines are indistinguishable.
         """
         monitor = self.monitor
         tracer = self._tracer
         self._observe = monitor.observe if monitor is not None else None
         self._board = monitor.board if monitor is not None else None
         self._bucket_map = monitor._bucket_map if monitor is not None else None
-        self._ib_run = self.ib.run
         self._abort_entry = self.layout.abort.address(MicroSlot.COMPUTE_A)
         from repro.cpu.semantics import dispatch  # deferred import breaks the cycle
         from repro.core import compile as replay  # likewise
@@ -252,7 +229,6 @@ class EBox:
         "_observe",
         "_board",
         "_bucket_map",
-        "_ib_run",
         "_abort_entry",
         "_dispatch",
         "_process_specifier",
@@ -309,12 +285,12 @@ class EBox:
     def _tick(self, address: int, count: int = 1, stalled: bool = False) -> None:
         """Spend ``count`` cycles at micro-PC ``address``.
 
-        Every EBOX cycle also gives the I-Fetch hardware a background
-        cycle — prefetch proceeds underneath computation and stalls
-        alike.  The monitor's count-board step and the prefetcher's
-        nothing-can-happen exits (fill outstanding, TB-miss paused,
-        buffer full) are inlined here: this and :meth:`_tick_slot` run
-        once per simulated EBOX cycle burst.
+        The I-Fetch hardware runs underneath computation and stalls
+        alike, but it only acts at its own events (a fetch, a fill
+        landing), so the burst calls into it only when the new clock has
+        reached ``ib.next_event``.  The monitor's count-board step is
+        inlined here: this and :meth:`_tick_slot` run once per simulated
+        EBOX cycle burst.
         """
         if count <= 0:
             return
@@ -325,20 +301,9 @@ class EBox:
                 board._stalled_counts[bucket] += count
             else:
                 board._counts[bucket] += count
-        self.cycle_count += count
-        ib = self.ib
-        wait = ib._fill_wait
-        if wait == 0:
-            if ib.tb_miss_pending or len(ib._bytes) >= 8:
-                ib._now += count
-            else:
-                self._ib_run(count)
-        elif wait > count:
-            # Waiting out a fill that outlasts this burst: pure countdown.
-            ib._fill_wait = wait - count
-            ib._now += count
-        else:
-            self._ib_run(count)
+        self.cycle_count = now = self.cycle_count + count
+        if now >= self.ib.next_event:
+            self.ib.run(now)
 
     def _tick_slot(self, routine, slot: int, count: int = 1, stalled: bool = False) -> None:
         """Spend ``count`` cycles at slot index ``slot`` of ``routine``.
@@ -360,19 +325,9 @@ class EBox:
                 board._stalled_counts[bucket] += count
             else:
                 board._counts[bucket] += count
-        self.cycle_count += count
-        ib = self.ib
-        wait = ib._fill_wait
-        if wait == 0:
-            if ib.tb_miss_pending or len(ib._bytes) >= 8:
-                ib._now += count
-            else:
-                self._ib_run(count)
-        elif wait > count:
-            ib._fill_wait = wait - count
-            ib._now += count
-        else:
-            self._ib_run(count)
+        self.cycle_count = now = self.cycle_count + count
+        if now >= self.ib.next_event:
+            self.ib.run(now)
 
     def _charge_compute(self, routine, cycles: int) -> None:
         """Spend compute cycles: first at COMPUTE_A, the rest at COMPUTE_B."""
@@ -538,10 +493,15 @@ class EBox:
     # ------------------------------------------------------------------
 
     def _take_bytes(self, count: int, wait_routine) -> bytes:
-        """Consume I-stream bytes, spending IB-stall cycles as needed."""
+        """Consume I-stream bytes, spending IB-stall cycles as needed.
+
+        Bytes can only arrive at the IB's next event, so a stall is
+        charged in one burst up to it (capped where the watchdog trips).
+        """
+        ib = self.ib
         waited = 0
         while True:
-            data = self.ib.try_consume(count)
+            data = ib.try_consume(count, self.cycle_count)
             if data is not None:
                 if waited and self._tracer is not None:
                     self._tracer.instant(
@@ -551,20 +511,23 @@ class EBox:
                         {"cycles": waited, "routine": wait_routine.name},
                     )
                 return data
-            if self.ib.tb_miss_pending:
+            if ib.tb_miss_pending:
                 self._service_istream_tb_miss()
                 continue
-            self._tick_slot(wait_routine, _IB_WAIT)
-            waited += 1
+            stall = min(
+                ib.next_event - self.cycle_count, _STALL_WATCHDOG_CYCLES + 1 - waited
+            )
+            self._tick_slot(wait_routine, _IB_WAIT, count=stall)
+            waited += stall
             if waited > _STALL_WATCHDOG_CYCLES:
                 raise HaltExecution(
-                    "IB stall watchdog at va {:#010x}".format(self.ib.decode_va)
+                    "IB stall watchdog at va {:#010x}".format(ib.decode_va)
                 )
 
     def _service_istream_tb_miss(self) -> None:
         """The deferred I-stream TB miss, noticed when bytes ran out."""
         self._service_tb_miss(self.ib.fetch_va, write=False)
-        self.ib.clear_tb_miss()
+        self.ib.clear_tb_miss(self.cycle_count)
 
     # ------------------------------------------------------------------
     # specifier processing
@@ -609,7 +572,7 @@ class EBox:
         cost = SPEC_COSTS[decoded.mode]
         self._charge_compute(routine, cost.address_cycles)
 
-        size = _DTYPE_SIZE[spec.dtype]
+        size = spec.dtype.ref_size
         mode = decoded.mode
         operand = OperandRef(
             spec=spec,
@@ -676,7 +639,7 @@ class EBox:
             low = self.regs.read(register)
             high = self.regs.read((register + 1) & 0xF)
             return low | (high << 32)
-        size = _DTYPE_SIZE[dtype]
+        size = dtype.ref_size
         return self.regs.read(register) & ((1 << (8 * size)) - 1)
 
     def _effective_address(self, decoded, size: int, routine, table5_row: str) -> int:
@@ -760,12 +723,12 @@ class EBox:
 
     def exec_read(self, va: int, size: int) -> int:
         """An execute-phase memory read (stack pops, string loops ...)."""
-        source = _TABLE5_GROUP_ROW[self.current_opcode.group]
+        source = self.current_opcode.table5_row
         return self.data_read(va, size, self._exec_routine, source)
 
     def exec_write(self, va: int, size: int, value: int) -> None:
         """An execute-phase memory write (stack pushes, string stores ...)."""
-        source = _TABLE5_GROUP_ROW[self.current_opcode.group]
+        source = self.current_opcode.table5_row
         self.data_write(va, size, value, self._exec_routine, source)
 
     def exec_read_physical(self, pa: int, size: int) -> int:
@@ -781,7 +744,7 @@ class EBox:
                 self._tracer.complete(
                     "MEM", stall_start, "read stall", outcome.stall_cycles, {"pa": pa}
                 )
-        source = _TABLE5_GROUP_ROW[self.current_opcode.group]
+        source = self.current_opcode.table5_row
         self.events.reads_by_source[source] += 1
         return outcome.value
 
@@ -798,7 +761,7 @@ class EBox:
                 self._tracer.complete(
                     "MEM", stall_start, "write stall", outcome.stall_cycles, {"pa": pa}
                 )
-        source = _TABLE5_GROUP_ROW[self.current_opcode.group]
+        source = self.current_opcode.table5_row
         self.events.writes_by_source[source] += 1
 
     def push(self, value: int) -> None:
@@ -826,7 +789,7 @@ class EBox:
                 self.regs.write(operand.register, value & 0xFFFFFFFF)
                 self.regs.write((operand.register + 1) & 0xF, (value >> 32) & 0xFFFFFFFF)
             else:
-                size = _DTYPE_SIZE[dtype]
+                size = dtype.ref_size
                 if size < 4:
                     # Sub-longword register writes merge into the low bits.
                     old = self.regs.read(operand.register)
@@ -836,7 +799,7 @@ class EBox:
             return
         if operand.address is None:
             raise IllegalInstruction("store to a valueless operand")
-        size = _DTYPE_SIZE[dtype]
+        size = dtype.ref_size
         table5_row = "spec1" if operand.position_class == "spec1" else "spec2_6"
         self.data_write(operand.address, size, value, operand.routine, table5_row)
 
@@ -861,7 +824,7 @@ class EBox:
         profile = exec_profile(self.current_opcode)
         if profile.taken_extra_cycles:
             self.exec_loop(profile.taken_extra_cycles)
-        self.ib.redirect(target)
+        self.ib.redirect(target, self.cycle_count)
 
     def record_branch(self, taken: bool) -> None:
         """Table 2 accounting for the current PC-changing instruction."""
@@ -890,7 +853,7 @@ class EBox:
         self.psl.current_mode = mode
         self.regs.sp = sp
         self.regs.pc = start_va
-        self.ib.redirect(start_va)
+        self.ib.redirect(start_va, self.cycle_count)
         self.halted = False
 
     def step(self) -> bool:
@@ -1063,7 +1026,7 @@ class EBox:
         operands: List[OperandRef] = []
         for position, spec in enumerate(opcode.operands):
             if spec.access is AccessType.BRANCH:
-                width = _DTYPE_SIZE[spec.dtype]
+                width = spec.dtype.ref_size
                 raw = self._take_bytes(width, self.layout.bdisp)
                 value = int.from_bytes(raw, "little")
                 if value & (1 << (8 * width - 1)):
@@ -1135,7 +1098,7 @@ class EBox:
             self.regs.sp = sp
             self.data_write(sp, 4, value, routine, "other")
         self.psl.ipl = ipl
-        self.ib.redirect(vector_va)
+        self.ib.redirect(vector_va, self.cycle_count)
         self.regs.pc = vector_va
         self.events.interrupts_delivered += 1
         if tracer is not None:

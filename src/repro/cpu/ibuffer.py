@@ -14,14 +14,38 @@ cites for its 2.2-references-per-instruction figure.
 An I-stream TB miss does not trap; it sets a flag the EBOX discovers only
 when it runs out of bytes (Section 2.1), and fetching pauses until the
 EBOX refills the TB.
+
+Timing is event-driven.  The prefetcher acts at only two kinds of
+cycles: a fetch (one cache reference) and the landing of an outstanding
+fill.  The buffer keeps the absolute EBOX cycle of the next such event in
+:attr:`InstructionBuffer.next_event`; every EBOX cycle charge compares
+its new clock against it and calls :meth:`InstructionBuffer.run` only
+when the clock has reached it.  The cycle-by-cycle behaviour this
+reproduces exactly:
+
+* the IB shares the cache port with EBOX data references and wins it at
+  most every other cycle: a fetch at cycle ``t`` is followed by the next
+  at ``t + 2``;
+* a fill requested at ``t`` lands at ``t + fill_cycles`` and the next
+  fetch follows two cycles after the landing;
+* while the buffer is full or an I-stream TB miss is pending, nothing
+  happens (``next_event`` is :data:`NEVER`) and the owed cooldown cycle
+  does not elapse.  Every pause begins at a fetch or a fill landing,
+  which always leaves one cooldown cycle owed, so an unpause at clock
+  ``C`` (a consume that frees room, :meth:`~InstructionBuffer.clear_tb_miss`
+  or :meth:`~InstructionBuffer.redirect`) schedules the next fetch at
+  ``C + 2``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 IB_CAPACITY = 8
+
+#: ``next_event`` while the prefetcher is paused: later than any clock.
+NEVER = 1 << 62
 
 
 @dataclass
@@ -41,9 +65,11 @@ class IBStats:
 class InstructionBuffer:
     """8-byte prefetch buffer running in EBOX cycle time.
 
-    The EBOX calls :meth:`run` once per EBOX cycle (the buffer fetches in
-    the background), :meth:`try_consume` to take decoded bytes, and
-    :meth:`redirect` on taken branches.
+    The EBOX calls :meth:`run` with its clock whenever that clock reaches
+    :attr:`next_event` (the buffer fetches in the background),
+    :meth:`try_consume` to take decoded bytes, and :meth:`redirect` on
+    taken branches.  The calls that can unpause the prefetcher take the
+    EBOX clock so they can re-arm :attr:`next_event`.
     """
 
     def __init__(self, memory):
@@ -55,30 +81,42 @@ class InstructionBuffer:
         self._bytes = bytearray()
         self._fetch_va = 0
         self._decode_va = 0
-        self._fill_wait = 0  # cycles until an outstanding miss delivers
+        #: the longword an outstanding cache fill will deliver at
+        #: ``next_event`` (it was fetched from ``_fetch_va``)
         self._pending_value: Optional[int] = None
-        self._pending_va = 0
         self.tb_miss_pending = False
-        self._now = 0  # tracks the EBOX cycle clock (advanced by run())
-        self._port_cooldown = 0  # cache-port sharing with the EBOX
+        #: EBOX cycle of the next fetch or fill landing; NEVER while the
+        #: buffer is full or an I-stream TB miss is pending
+        self.next_event = 1
 
     # -- control -----------------------------------------------------------
 
-    def redirect(self, va: int) -> None:
-        """Flush and start fetching at ``va`` (taken branch / REI / boot)."""
+    def redirect(self, va: int, now: int) -> None:
+        """Flush and start fetching at ``va`` (taken branch / REI / boot).
+
+        ``now`` is the EBOX clock.  A fetch already scheduled keeps its
+        cycle; a paused or filling buffer resumes with the owed cooldown.
+        """
+        if (
+            self._pending_value is not None
+            or self.tb_miss_pending
+            or len(self._bytes) >= IB_CAPACITY
+        ):
+            self.next_event = now + 2
         self._bytes.clear()
         self._fetch_va = va
         self._decode_va = va
-        self._fill_wait = 0
         self._pending_value = None
         self.tb_miss_pending = False
         self.stats.redirects += 1
         if self.tracer is not None:
-            self.tracer.instant("IFETCH", self._now, "redirect", {"va": va})
+            self.tracer.instant("IFETCH", now, "redirect", {"va": va})
 
-    def clear_tb_miss(self) -> None:
-        """The EBOX refilled the TB; resume fetching."""
-        self.tb_miss_pending = False
+    def clear_tb_miss(self, now: int) -> None:
+        """The EBOX refilled the TB at clock ``now``; resume fetching."""
+        if self.tb_miss_pending:
+            self.tb_miss_pending = False
+            self.next_event = now + 2
 
     @property
     def decode_va(self) -> int:
@@ -96,96 +134,77 @@ class InstructionBuffer:
 
     # -- background fetching -------------------------------------------------
 
-    def run(self, cycles: int = 1) -> None:
-        """Advance the prefetcher by ``cycles`` EBOX cycles.
+    def run(self, now: int) -> None:
+        """Process every prefetcher event up to and including cycle ``now``.
 
-        Cycle-exact but batched: runs of cycles in which the prefetcher
-        provably does nothing (waiting out a fill, TB-miss paused, or
-        buffer full — the overwhelmingly common states) are skipped in
-        one arithmetic step instead of being iterated one by one.  Only
-        cycles that can issue a cache reference take the per-cycle path,
-        so ``_now`` is identical to the unbatched clock at every fetch.
+        Each fetch and fill landing happens at its exact cycle ``t``:
+        ``t`` is the ``now`` the SBI queues the fill on and the timestamp
+        of the tracer's IFETCH events.
         """
-        while cycles > 0:
-            if self._fill_wait > 0:
-                # Wait out the outstanding miss (or as much as fits).
-                step = self._fill_wait if self._fill_wait <= cycles else cycles
-                self._now += step
-                self._fill_wait -= step
-                cycles -= step
-                if self._fill_wait == 0 and self._pending_value is not None:
-                    self._accept(self._pending_va, self._pending_value)
-                    self._pending_value = None
-                continue
-            if self.tb_miss_pending or len(self._bytes) >= IB_CAPACITY:
-                # Paused until the EBOX refills the TB / consumes bytes:
-                # nothing can happen for the rest of this batch.
-                self._now += cycles
-                return
-            self._now += 1
-            cycles -= 1
-            if self._port_cooldown > 0:
-                # The IB shares the cache port with EBOX data references;
-                # it wins at most every other cycle, which also keeps it
-                # from racing arbitrarily far past branch points.
-                self._port_cooldown -= 1
-                continue
-            self._port_cooldown = 1
-            value, cache_hit, tb_miss, fill_cycles = self.memory.istream_fetch(
-                self._fetch_va, now=self._now
-            )
-            if tb_miss:
-                self.tb_miss_pending = True
-                self.stats.tb_miss_flags += 1
-                if self.tracer is not None:
-                    self.tracer.instant(
-                        "IFETCH", self._now, "ifetch tb miss", {"va": self._fetch_va}
-                    )
-                continue
-            self.stats.references += 1
-            if cache_hit:
-                self._accept(self._fetch_va, value)
+        t = self.next_event
+        buf = self._bytes
+        stats = self.stats
+        while t <= now:
+            va = self._fetch_va
+            value = self._pending_value
+            if value is None:
+                value, cache_hit, tb_miss, fill_cycles = self.memory.istream_read(
+                    va, t
+                )
+                if tb_miss:
+                    self.tb_miss_pending = True
+                    stats.tb_miss_flags += 1
+                    if self.tracer is not None:
+                        self.tracer.instant("IFETCH", t, "ifetch tb miss", {"va": va})
+                    t = NEVER
+                    break
+                stats.references += 1
+                if not cache_hit:
+                    # Data arrives later — after the SBI transaction (plus
+                    # any queueing behind concurrent traffic) completes; the
+                    # IB then accepts as many bytes as it has room for.
+                    self._pending_value = value
+                    if self.tracer is not None:
+                        self.tracer.instant(
+                            "IFETCH",
+                            t,
+                            "ifetch miss",
+                            {"va": va, "fill_cycles": fill_cycles},
+                        )
+                    t += fill_cycles
+                    continue
             else:
-                # Data arrives later — after the SBI transaction (plus
-                # any queueing behind concurrent traffic) completes; the
-                # IB then accepts as many bytes as it has room for.
-                self._pending_va = self._fetch_va
-                self._pending_value = value
-                self._fill_wait = fill_cycles
-                if self.tracer is not None:
-                    self.tracer.instant(
-                        "IFETCH",
-                        self._now,
-                        "ifetch miss",
-                        {"va": self._fetch_va, "fill_cycles": fill_cycles},
-                    )
-
-    def _accept(self, va: int, longword: int) -> None:
-        """Accept bytes from the longword containing ``va`` into the IB."""
-        offset = va & 3
-        available = 4 - offset
-        room = IB_CAPACITY - len(self._bytes)
-        take = min(available, room)
-        if take <= 0:
-            return
-        data = longword.to_bytes(4, "little")[offset : offset + take]
-        self._bytes.extend(data)
-        self._fetch_va += take
-        self.stats.bytes_delivered += take
+                self._pending_value = None  # the fill lands now
+            # Accept the longword's bytes from ``va`` on, as many as fit.
+            room = IB_CAPACITY - len(buf)
+            offset = va & 3
+            take = 4 - offset
+            if take >= room:
+                take = room
+                t = NEVER  # full: paused until a consume
+            else:
+                t += 2
+            if take == 4:
+                buf += value.to_bytes(4, "little")
+            else:
+                buf += value.to_bytes(4, "little")[offset : offset + take]
+            self._fetch_va = va + take
+            stats.bytes_delivered += take
+        self.next_event = t
 
     # -- the EBOX side ---------------------------------------------------------
 
-    def try_consume(self, count: int) -> Optional[bytes]:
-        """Take ``count`` bytes if available; None means IB stall."""
-        if len(self._bytes) < count:
+    def try_consume(self, count: int, now: int) -> Optional[bytes]:
+        """Take ``count`` bytes at clock ``now`` if available; None means
+        IB stall.  Taking from a full buffer unpauses the prefetcher
+        (replay's ``OP_CONSUME`` inlines this)."""
+        buf = self._bytes
+        valid = len(buf)
+        if valid < count:
             return None
-        taken = bytes(self._bytes[:count])
-        del self._bytes[:count]
+        if valid >= IB_CAPACITY:
+            self.next_event = now + 2
+        taken = bytes(buf[:count])
+        del buf[:count]
         self._decode_va += count
         return taken
-
-    def peek(self, count: int) -> Optional[bytes]:
-        """Look at the next ``count`` bytes without consuming them."""
-        if len(self._bytes) < count:
-            return None
-        return bytes(self._bytes[:count])

@@ -19,8 +19,28 @@ import math
 from enum import Enum
 
 
+#: type code -> (bytes per datum, bytes one operand reference moves).
+#: Packed and field sizes are contextual: a packed datum has no fixed
+#: size, and the EBOX references a packed operand a byte at a time.
+_WIDTHS = {
+    "b": (1, 1),
+    "w": (2, 2),
+    "l": (4, 4),
+    "q": (8, 8),
+    "f": (4, 4),
+    "p": (0, 1),
+    "v": (4, 4),
+}
+
+
 class DataType(Enum):
-    """Operand data types used by the instruction subset."""
+    """Operand data types used by the instruction subset.
+
+    Each member carries its widths as plain attributes, set once here so
+    the per-instruction paths never hash an enum member: ``size`` (bytes
+    per datum), ``ref_size`` (bytes per operand reference) and ``bits``
+    (``8 * size``).
+    """
 
     BYTE = "b"
     WORD = "w"
@@ -30,21 +50,10 @@ class DataType(Enum):
     PACKED = "p"
     VARIABLE_FIELD = "v"
 
-    @property
-    def size(self) -> int:
-        """Size in bytes of one datum (packed/field sizes are contextual)."""
-        return _SIZES[self]
+    def __init__(self, code: str):
+        self.size, self.ref_size = _WIDTHS[code]
+        self.bits = 8 * self.size
 
-
-_SIZES = {
-    DataType.BYTE: 1,
-    DataType.WORD: 2,
-    DataType.LONG: 4,
-    DataType.QUAD: 8,
-    DataType.F_FLOAT: 4,
-    DataType.PACKED: 0,
-    DataType.VARIABLE_FIELD: 4,
-}
 
 MASK8 = 0xFF
 MASK16 = 0xFFFF

@@ -55,6 +55,12 @@ class Opcode:
     operands: Tuple[OperandSpec, ...]
     group: OpcodeGroup
     branch_class: Optional[BranchClass] = None
+    #: Table 5's execute-phase row for this opcode's group, stored once so
+    #: the per-reference paths never hash the group enum
+    table5_row: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "table5_row", self.group.value)
 
     @property
     def is_pc_changing(self) -> bool:

@@ -88,7 +88,8 @@ class RegisterFile:
         """Restore a snapshot taken by :meth:`snapshot` (used by LDPCTX)."""
         if len(values) != 16:
             raise ValueError("register snapshot must have 16 entries")
-        self._regs = [v & MASK32 for v in values]
+        # In place: the replay loop holds the list across an instruction.
+        self._regs[:] = [v & MASK32 for v in values]
 
     def __repr__(self) -> str:
         cells = ", ".join(

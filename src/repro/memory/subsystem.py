@@ -62,11 +62,14 @@ class WriteOutcome:
 
 
 class IStreamOutcome(NamedTuple):
-    """The result of one IB longword fetch attempt.
+    """The result of one IB longword fetch attempt, with named fields.
 
-    A NamedTuple, not a dataclass — the IB calls this roughly twice per
-    simulated instruction and object construction was measurable; the
-    hot caller unpacks it positionally.
+    :meth:`MemorySubsystem.istream_fetch` returns this for callers that
+    read fields by name (tests, ``userbench``'s memory-layer replay).
+    The prefetcher calls :meth:`MemorySubsystem.istream_read`, which
+    returns the same four values as a plain tuple: it runs about twice
+    per simulated instruction, and building this NamedTuple there cost
+    several percent of a run.
     """
 
     value: int = 0
@@ -75,7 +78,8 @@ class IStreamOutcome(NamedTuple):
     fill_cycles: int = 0  # SBI transaction time on a miss (incl. queueing)
 
 
-_ISTREAM_TB_MISS = IStreamOutcome(tb_miss=True)
+#: ``istream_read``'s answer when the translation is not resident.
+_ISTREAM_TB_MISS = (0, False, True, 0)
 
 
 @dataclass
@@ -450,7 +454,11 @@ class MemorySubsystem:
 
     # -- I-stream references ----------------------------------------------
 
-    def istream_fetch(self, va: int, now: Optional[int] = None):
+    def istream_fetch(self, va: int, now: Optional[int] = None) -> IStreamOutcome:
+        """:meth:`istream_read` with its result as an :class:`IStreamOutcome`."""
+        return IStreamOutcome._make(self.istream_read(va, now))
+
+    def istream_read(self, va: int, now: Optional[int] = None):
         """One IB reference: fetch the longword containing ``va``.
 
         Returns ``(value, cache_hit, tb_miss, fill_cycles)``.  Unlike
@@ -523,7 +531,7 @@ class MemorySubsystem:
             value = mem32[pa >> 2]
         else:
             value = physical.read(pa, 4)
-        return IStreamOutcome(value, hit, False, fill)
+        return value, hit, False, fill
 
     def istream_page_valid(self, va: int) -> bool:
         """Whether the page holding ``va`` is mapped (IB prefetch guard)."""

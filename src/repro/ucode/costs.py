@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.isa.opcodes import Opcode, OpcodeGroup
+from repro.isa.opcodes import OPCODES, Opcode, OpcodeGroup
 from repro.isa.specifiers import AddressingMode
 
 
@@ -222,12 +222,17 @@ _GROUP_DEFAULTS = {
 }
 
 
+#: Every opcode's profile with the group defaults folded in once, so the
+#: per-instruction lookup is a single str-keyed probe.
+_PROFILES = {
+    op.mnemonic: _EXEC_PROFILES.get(op.mnemonic, _GROUP_DEFAULTS[op.group])
+    for op in OPCODES.values()
+}
+
+
 def exec_profile(opcode: Opcode) -> ExecProfile:
     """The execute-phase cycle profile for ``opcode``."""
-    profile = _EXEC_PROFILES.get(opcode.mnemonic)
-    if profile is not None:
-        return profile
-    return _GROUP_DEFAULTS[opcode.group]
+    return _PROFILES[opcode.mnemonic]
 
 
 #: TB-miss service routine: compute cycles beside the PTE read.  With the
